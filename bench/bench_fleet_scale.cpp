@@ -35,6 +35,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -109,9 +110,11 @@ ConfigResult run_config(int vehicles, int cores, int ticks,
                         const perception::ScanMatcher& matcher,
                         const sim::World& world, uint64_t fleet_seed,
                         bench::TelemetrySidecar* sidecar,
-                        telemetry::Telemetry** telemetry_out) {
+                        std::unique_ptr<telemetry::Telemetry>* telemetry_out) {
   SimClock clock;
-  auto* telemetry = new telemetry::Telemetry(telemetry::TelemetryConfig{});
+  // Declared before the pool, so the pool joins its workers before the
+  // bundle they record into goes away.
+  auto telemetry = std::make_unique<telemetry::Telemetry>(telemetry::TelemetryConfig{});
   telemetry->set_clock(&clock);
 
   core::WorkerPoolConfig wc;
@@ -119,7 +122,7 @@ ConfigResult run_config(int vehicles, int cores, int ticks,
   // Real pool threads capped: the *virtual* core count is the model; the real
   // threads only need enough concurrency to genuinely exercise the batching.
   wc.threads = std::min(cores, 8);
-  core::WorkerPool pool(wc, telemetry);
+  core::WorkerPool pool(wc, telemetry.get());
 
   // Vehicles: each on its own lane of the shared hall, each with its own
   // splitmix64-derived RNG stream and its own real scan of the hall.
@@ -266,9 +269,8 @@ ConfigResult run_config(int vehicles, int cores, int ticks,
       "v" + std::to_string(vehicles) + "_c" + std::to_string(cores);
   if (sidecar != nullptr) sidecar->add(label, telemetry->metrics().snapshot());
   if (telemetry_out != nullptr) {
-    *telemetry_out = telemetry;  // caller owns (critical-path extraction)
-  } else {
-    delete telemetry;
+    // The caller takes the bundle for critical-path extraction.
+    *telemetry_out = std::move(telemetry);
   }
   return r;
 }
@@ -334,22 +336,17 @@ int main(int argc, char** argv) {
 
   bench::TelemetrySidecar sidecar("fleet_scale");
   std::vector<ConfigResult> results;
-  telemetry::Telemetry* contended_telemetry = nullptr;
+  std::unique_ptr<telemetry::Telemetry> contended_telemetry;
   double contended_makespan = 0.0;
 
   for (const int cores : core_counts) {
     for (const int vehicles : vehicle_counts) {
       const bool most_contended =
           vehicles == vehicle_counts.back() && cores == core_counts.front();
-      telemetry::Telemetry* captured = nullptr;
       results.push_back(run_config(
           vehicles, cores, ticks, field, matcher, base.world, fleet_seed,
-          &sidecar, most_contended ? &captured : nullptr));
-      if (captured != nullptr) {
-        delete contended_telemetry;
-        contended_telemetry = captured;
-        contended_makespan = kTick * ticks;
-      }
+          &sidecar, most_contended ? &contended_telemetry : nullptr));
+      if (most_contended) contended_makespan = kTick * ticks;
     }
   }
 
@@ -401,7 +398,6 @@ int main(int argc, char** argv) {
                 "(%llu spans, %.0f%% attributed)\n",
                 static_cast<unsigned long long>(cp.spans_total),
                 cp.named_fraction() * 100.0);
-    delete contended_telemetry;
   }
 
   const bool ok = all_bounded && fallback_rises && batching_observed && fair;

@@ -1,15 +1,16 @@
-// Fixed-size worker pool used by the cloud-acceleration kernels (parallel
+// Fixed-size fork-join pool used by the cloud-acceleration kernels (parallel
 // scanMatch, Fig. 6; parallel scoreTrajectory, Fig. 5). The pool mirrors the
 // paper's design: a main thread partitions M work items into N chunks and
-// blocks until all chunks complete.
+// blocks until all chunks complete. Tasks queue in one FIFO; the only way in
+// is a parallel region, so every task belongs to a caller that is waiting
+// for it. Fair share between vehicles is not this pool's job: the fleet
+// worker (core::WorkerPool) arbitrates in virtual time before it dispatches.
 //
-// Multi-tenancy: tasks are queued per *session* (one session per vehicle in
-// the fleet-serving worker; session 0 is the default for single-tenant
-// callers) and dispatched by stride scheduling over per-session virtual
-// time, so one chatty session cannot starve the rest — a session that
-// submits 300 tasks and a session that submits 3 interleave in proportion to
-// their weights, not in FIFO arrival order. With only session 0 in play the
-// pool degenerates to the original single FIFO queue.
+// Region lifetime: a worker counts a task done in the same mutex_ section
+// that fetches its next task, after the task's telemetry is recorded, and
+// the caller waits on a pool-owned condition variable. So no worker touches
+// a region (which lives on the caller's stack) after its caller can see it
+// finished.
 //
 // Concurrency hygiene follows the C++ Core Guidelines: RAII locks only
 // (CP.20), condition waits always have a predicate (CP.42), threads are
@@ -22,10 +23,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -51,48 +50,17 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueue a task for asynchronous execution on the default session (0).
-  void submit(std::function<void()> task);
-
-  /// Enqueue a task under `session`. Unregistered sessions are materialized
-  /// on first use with weight 1 (so ad-hoc ids just work); register_session
-  /// sets weight/label/bounds explicitly.
-  void submit(uint32_t session, std::function<void()> task);
-
-  /// Bounded enqueue: false (task not queued) when the session was registered
-  /// with `max_queue` > 0 and already has that many tasks waiting. The
-  /// backpressure primitive for the fleet worker — a flooding session is
-  /// bounced here instead of growing an unbounded queue.
-  bool try_submit(uint32_t session, std::function<void()> task);
-
-  /// Declare a scheduling session: `weight` is its stride-share (a weight-2
-  /// session drains twice as fast as a weight-1 session under contention),
-  /// `label` names the per-session `pool_task_wait_us{session=...}` histogram
-  /// (defaults to the numeric id), `max_queue` bounds try_submit (0 = no
-  /// bound). Re-registering updates weight/label/bound in place.
-  void register_session(uint32_t session, uint64_t weight,
-                        const std::string& label = "", size_t max_queue = 0);
-
-  /// Tasks currently waiting in `session`'s queue (not yet dispatched).
-  size_t session_queue_depth(uint32_t session) const;
-
   /// Wire the pool's hot-path metrics into `telemetry` (nullptr disconnects):
   /// `pool_tasks_total`, `pool_queue_depth`, `pool_task_wait_us` /
   /// `pool_task_run_us` histograms and `pool_busy_us_total`, all labeled
-  /// {pool=`pool_name`}; registered sessions additionally get
-  /// `pool_task_wait_us{pool=..., session=<label>}`. Times are host
-  /// wall-clock — the pool runs real threads; virtual time never advances
-  /// inside a task. Worker utilization over an interval is
-  /// busy_us / (interval · num_threads).
+  /// {pool=`pool_name`}. Times are host wall-clock — the pool runs real
+  /// threads; virtual time never advances inside a task. Worker utilization
+  /// over an interval is busy_us / (interval · num_threads).
   ///
-  /// Lifetime: `telemetry` must outlive the pool (workers record after each
-  /// task, including after parallel_chunks() has released its caller) —
-  /// destroy the pool, which joins them, before the bundle.
+  /// Lifetime: `telemetry` must outlive the pool — destroy the pool, which
+  /// joins the workers, before the bundle.
   void set_telemetry(telemetry::Telemetry* telemetry,
                      const std::string& pool_name = "remote_pool");
-
-  /// Block until every submitted task has finished executing.
-  void wait_idle();
 
   /// Run fn(i) for i in [0, count) across the pool, blocking until done.
   /// Work is partitioned into contiguous chunks, one per worker, matching the
@@ -111,11 +79,6 @@ class ThreadPool {
   void parallel_chunks(size_t count, size_t chunks,
                        const std::function<void(size_t begin, size_t end)>& fn);
 
-  /// Session-attributed form: the chunk tasks queue under `session`, so a
-  /// vehicle's kernel chunks contend fair-share against other tenants.
-  void parallel_chunks(uint32_t session, size_t count, size_t chunks,
-                       const std::function<void(size_t begin, size_t end)>& fn);
-
   /// Dynamic-scheduling variant: min(workers, ceil(count/grain)) tasks each
   /// grab the next `grain`-sized range of [0, count) off a shared atomic
   /// counter until none remain, then block until every range ran. Unlike the
@@ -128,49 +91,32 @@ class ThreadPool {
   void parallel_dynamic(size_t count, size_t grain,
                         const std::function<void(size_t begin, size_t end)>& fn);
 
-  /// Session-attributed form of parallel_dynamic (see parallel_chunks).
-  void parallel_dynamic(uint32_t session, size_t count, size_t grain,
-                        const std::function<void(size_t begin, size_t end)>& fn);
-
  private:
-  struct QueuedTask {
-    std::function<void()> fn;
+  /// One parallel region: `pending` of its tasks have not finished yet.
+  /// Lives on the caller's stack; workers read and write it only under
+  /// mutex_, and never after the decrement that brings `pending` to zero.
+  struct Region {
+    const std::function<void(size_t task)>* body;
+    size_t pending;
+  };
+  struct Task {
+    Region* region;
+    size_t index;
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// One tenant's queue + stride-scheduler state. Session structs are never
-  /// erased (ids are few — one per vehicle — and the structs are small), so
-  /// worker threads can cache pointers across unlocks.
-  struct SessionQueue {
-    std::deque<QueuedTask> queue;
-    uint64_t weight = 1;
-    double vtime = 0.0;    ///< virtual finish time; next dispatch picks min
-    size_t max_queue = 0;  ///< try_submit bound (0 = unbounded)
-    std::string label;
-    telemetry::Histogram* wait_us = nullptr;
-  };
-
+  /// Queue body(t) for t in [0, tasks) and block until every one has run.
+  void run_region(size_t tasks, const std::function<void(size_t task)>& body);
   void worker_loop();
-  // All of these require mutex_ held.
-  SessionQueue& session_locked(uint32_t session);
-  void enqueue_locked(uint32_t id, SessionQueue& s, std::function<void()>&& task);
-  SessionQueue* pick_locked();
-  void refresh_session_telemetry_locked(uint32_t id, SessionQueue& s);
 
   std::vector<std::thread> workers_;
-  std::map<uint32_t, SessionQueue> sessions_;
-  std::vector<uint32_t> ready_;  ///< ids with non-empty queues (unsorted)
-  size_t queued_ = 0;            ///< total tasks waiting across sessions
-  double vclock_ = 0.0;          ///< vtime of the last dispatch (stride floor)
-  mutable std::mutex mutex_;
+  std::deque<Task> queue_;
+  std::mutex mutex_;
   std::condition_variable task_ready_;
-  std::condition_variable all_done_;
-  size_t in_flight_ = 0;
+  std::condition_variable region_done_;
   bool stopping_ = false;
 
   // Telemetry handles (cached once in set_telemetry; null when disabled).
-  telemetry::Telemetry* telemetry_ = nullptr;
-  std::string pool_name_;
   telemetry::Counter* tasks_total_ = nullptr;
   telemetry::Counter* busy_us_total_ = nullptr;
   telemetry::Gauge* queue_depth_ = nullptr;

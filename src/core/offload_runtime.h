@@ -274,8 +274,8 @@ class OffloadRuntime {
 
   DeploymentPlan plan_;
   /// Declared before remote_pool_ so the pool's destructor (which joins the
-  /// workers) runs first: a worker released from parallel_chunks() may still
-  /// be recording its post-task metrics into this bundle.
+  /// workers) runs first: ThreadPool::set_telemetry requires the bundle to
+  /// outlive the pool.
   std::unique_ptr<telemetry::Telemetry> telemetry_;
   SimClock clock_;
   mw::Graph graph_;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -64,14 +63,19 @@ TEST(ChunkRange, ZeroItems) {
 }
 
 TEST(ThreadPool, RunsSubmittedTasks) {
+  // Every task of a region runs exactly once, on a worker: the caller only
+  // waits.
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4u);
+  const std::thread::id caller = std::this_thread::get_id();
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
+  std::atomic<int> on_caller{0};
+  pool.parallel_chunks(100, 100, [&](size_t begin, size_t end) {
+    counter.fetch_add(static_cast<int>(end - begin));
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+  });
   EXPECT_EQ(counter.load(), 100);
+  EXPECT_EQ(on_caller.load(), 0);
 }
 
 TEST(ThreadPool, AtLeastOneThread) {
@@ -159,124 +163,44 @@ TEST(ThreadPool, ReentrantUseAfterWait) {
   }
 }
 
-// Block a 1-thread pool's worker, enqueue a known task mix under several
-// sessions, release, and record execution order — with one worker the stride
-// scheduler's dispatch order IS the execution order, deterministically.
-std::vector<char> run_interleave(
-    const std::vector<std::pair<uint32_t, int>>& sessions_and_counts,
-    const std::vector<std::pair<uint32_t, uint64_t>>& weights,
-    const std::vector<char>& names) {
-  ThreadPool pool(1);
-  for (const auto& [id, w] : weights) pool.register_session(id, w);
-  std::atomic<bool> release{false};
-  pool.submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  std::vector<char> order;  // worker-only writes; read after wait_idle
-  for (size_t s = 0; s < sessions_and_counts.size(); ++s) {
-    const auto [id, count] = sessions_and_counts[s];
-    const char name = names[s];
-    for (int i = 0; i < count; ++i) {
-      pool.submit(id, [&order, name] { order.push_back(name); });
-    }
-  }
-  release.store(true);
-  pool.wait_idle();
-  return order;
-}
-
-TEST(ThreadPool, StrideInterleavesSessionsNotFifo) {
-  // 6 A-tasks queued entirely before 3 B-tasks. FIFO would run AAAAAABBB;
-  // stride with equal weights alternates until B drains.
-  const auto order = run_interleave({{1, 6}, {2, 3}}, {{1, 1}, {2, 1}}, {'A', 'B'});
-  EXPECT_EQ(std::string(order.begin(), order.end()), "ABABABAAA");
-}
-
-TEST(ThreadPool, WeightedSessionDrainsProportionallyFaster) {
-  // Equal task counts; B at weight 2 takes two slots for each of A's.
-  const auto order = run_interleave({{1, 4}, {2, 4}}, {{1, 1}, {2, 2}}, {'A', 'B'});
-  EXPECT_EQ(std::string(order.begin(), order.end()), "ABBABBAA");
-}
-
-TEST(ThreadPool, SingleSessionDegeneratesToFifo) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  pool.submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
-  }
-  release.store(true);
-  pool.wait_idle();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, TrySubmitBouncesAtRegisteredBound) {
-  ThreadPool pool(1);
-  pool.register_session(7, /*weight=*/1, "bounded", /*max_queue=*/2);
-  std::atomic<bool> release{false};
-  pool.submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  std::atomic<int> ran{0};
-  EXPECT_TRUE(pool.try_submit(7, [&ran] { ran.fetch_add(1); }));
-  EXPECT_TRUE(pool.try_submit(7, [&ran] { ran.fetch_add(1); }));
-  EXPECT_FALSE(pool.try_submit(7, [&ran] { ran.fetch_add(1); }));  // bounced
-  EXPECT_EQ(pool.session_queue_depth(7), 2u);
-  release.store(true);
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPool, FloodingSessionDoesNotStarveSparseOne) {
-  // The fair-share starvation regression (docs/fleet-serving.md): one chatty
-  // tenant floods the pool while a sparse tenant submits a trickle. Stride
-  // scheduling must keep the sparse tenant's queue wait far below the
-  // flooder's, and the per-session pool_task_wait_us histograms prove it.
+TEST(ThreadPool, BackToBackRegionsLeaveNothingBehind) {
+  // Region lifetime stress: thousands of tiny regions back to back, each
+  // with its state on the caller's stack and each returning the moment its
+  // last task is counted done. A worker that touched a finished region (a
+  // completion latch on a returned stack frame) is a data race that
+  // -DLGV_SANITIZE=thread reports here. Every task's telemetry must also be
+  // recorded before its region returns.
   telemetry::Telemetry telemetry;
-  ThreadPool pool(2);
-  pool.set_telemetry(&telemetry, "fleet_worker");
-  pool.register_session(1, /*weight=*/1, "flood");
-  pool.register_session(2, /*weight=*/1, "sparse");
-
-  const auto spin = [] {
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::microseconds(200);
-    while (std::chrono::steady_clock::now() < until) {
+  ThreadPool pool(4);
+  pool.set_telemetry(&telemetry, "stress");
+  constexpr int kRegions = 4000;
+  for (int round = 0; round < kRegions; ++round) {
+    std::atomic<int> items{0};
+    if (round % 2 == 0) {
+      pool.parallel_chunks(4, 4, [&items](size_t begin, size_t end) {
+        items.fetch_add(static_cast<int>(end - begin));
+      });
+    } else {
+      pool.parallel_dynamic(8, 1, [&items](size_t begin, size_t end) {
+        items.fetch_add(static_cast<int>(end - begin));
+      });
     }
-  };
-  for (int i = 0; i < 400; ++i) pool.submit(1, spin);
-  for (int i = 0; i < 12; ++i) pool.submit(2, spin);
-  pool.wait_idle();
-
-  auto& flood = telemetry.metrics().histogram(
-      "pool_task_wait_us", {{"pool", "fleet_worker"}, {"session", "flood"}});
-  auto& sparse = telemetry.metrics().histogram(
-      "pool_task_wait_us", {{"pool", "fleet_worker"}, {"session", "sparse"}});
-  ASSERT_EQ(flood.count(), 400u);
-  ASSERT_EQ(sparse.count(), 12u);
-  const double flood_mean =
-      flood.sum() / static_cast<double>(flood.count());
-  const double sparse_mean =
-      sparse.sum() / static_cast<double>(sparse.count());
-  // The flooder's 400 tasks queue behind each other (~mean half the backlog);
-  // the sparse tenant interleaves 1:1 and waits a couple of task-times. A 3×
-  // margin keeps the assertion robust to scheduler noise while still failing
-  // instantly under FIFO (where sparse ≈ flood backlog ≈ same mean).
-  EXPECT_LT(sparse_mean * 3.0, flood_mean)
-      << "sparse=" << sparse_mean << "us flood=" << flood_mean << "us";
+    ASSERT_EQ(items.load(), round % 2 == 0 ? 4 : 8) << "round " << round;
+  }
+  // Both shapes dispatch exactly four tasks on a 4-thread pool.
+  EXPECT_EQ(telemetry.metrics().counter("pool_tasks_total", {{"pool", "stress"}}).value(),
+            4u * kRegions);
 }
 
 TEST(ThreadPool, DestructionWithPendingWorkJoinsCleanly) {
+  // More tasks than workers, then the pool goes away as soon as the region
+  // returns: every task ran exactly once and the workers join.
   std::atomic<int> done{0};
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&done] { done.fetch_add(1); });
-    }
-    pool.wait_idle();
+    pool.parallel_chunks(20, 20, [&done](size_t begin, size_t end) {
+      done.fetch_add(static_cast<int>(end - begin));
+    });
   }
   EXPECT_EQ(done.load(), 20);
 }

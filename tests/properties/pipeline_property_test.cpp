@@ -2,6 +2,8 @@
 // the network substrate.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "control/trajectory_rollout.h"
 #include "net/wireless_channel.h"
 #include "perception/amcl.h"
@@ -62,6 +64,11 @@ struct RolloutCase {
   double cap;
   int samples;
 };
+// Printable so the ctest names are the same in every build: gtest would
+// otherwise print the struct's raw bytes, including its uninitialised padding.
+void PrintTo(const RolloutCase& c, std::ostream* os) {
+  *os << "cap" << c.cap << "_samples" << c.samples;
+}
 
 class RolloutCapBinds : public ::testing::TestWithParam<RolloutCase> {};
 
@@ -117,12 +124,19 @@ INSTANTIATE_TEST_SUITE_P(Rates, LatencyBytesMonotone,
 
 // ---- scenarios: every builder yields a usable environment ------------------
 
-using ScenarioMaker = sim::Scenario (*)();
+// Printable so the ctest names are the same in every build: gtest would
+// otherwise print the builder's address as the parameter value, which
+// gtest_discover_tests puts into the name.
+struct ScenarioMaker {
+  const char* name;
+  sim::Scenario (*make)();
+};
+void PrintTo(const ScenarioMaker& m, std::ostream* os) { *os << m.name; }
 
 class ScenarioContract : public ::testing::TestWithParam<ScenarioMaker> {};
 
 TEST_P(ScenarioContract, ScanLogTraversesFreeSpace) {
-  const sim::Scenario s = GetParam()();
+  const sim::Scenario s = GetParam().make();
   const auto log = sim::record_scan_log(s, 0.4, 0.25, 40);
   ASSERT_GE(log.size(), 20u);
   for (const auto& e : log) {
@@ -132,7 +146,7 @@ TEST_P(ScenarioContract, ScanLogTraversesFreeSpace) {
 }
 
 TEST_P(ScenarioContract, LidarSeesSomethingFromStart) {
-  const sim::Scenario s = GetParam()();
+  const sim::Scenario s = GetParam().make();
   sim::Lidar lidar;
   const msg::LaserScan scan = lidar.scan(s.world, s.start, 0.0);
   int returns = 0;
@@ -140,11 +154,12 @@ TEST_P(ScenarioContract, LidarSeesSomethingFromStart) {
   EXPECT_GT(returns, 30);  // walls exist within lidar range
 }
 
-INSTANTIATE_TEST_SUITE_P(Builders, ScenarioContract,
-                         ::testing::Values(&sim::make_lab_scenario,
-                                           &sim::make_office_scenario,
-                                           &sim::make_obstacle_course_scenario,
-                                           &sim::make_open_scenario));
+INSTANTIATE_TEST_SUITE_P(
+    Builders, ScenarioContract,
+    ::testing::Values(ScenarioMaker{"lab", &sim::make_lab_scenario},
+                      ScenarioMaker{"office", &sim::make_office_scenario},
+                      ScenarioMaker{"obstacle_course", &sim::make_obstacle_course_scenario},
+                      ScenarioMaker{"open", &sim::make_open_scenario}));
 
 // ---- AMCL: convergence from a wide prior across seeds ----------------------
 

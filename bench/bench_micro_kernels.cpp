@@ -150,6 +150,16 @@ void BM_CostmapUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_CostmapUpdate);
 
+// Inflation alone: one full inflate() over the lab's static layer.
+void BM_CostmapInflate(benchmark::State& state) {
+  Fixture& fx = fixture();
+  size_t processed = 0;
+  for (auto _ : state) processed += fx.costmap.inflate();
+  state.counters["cells"] = benchmark::Counter(static_cast<double>(processed),
+                                               benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CostmapInflate);
+
 void BM_TrajectoryRollout(benchmark::State& state) {
   Fixture& fx = fixture();
   control::RolloutConfig cfg;

@@ -2,7 +2,10 @@
 // rigid-body transforms and angle arithmetic on SO(2).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdlib>
 #include <iosfwd>
 #include <vector>
 
@@ -112,6 +115,42 @@ struct BoundingBox {
   double width() const { return max.x - min.x; }
   double height() const { return max.y - min.y; }
 };
+
+/// Calls `f(cell)` for every cell of the integer Bresenham walk from `from`
+/// to `to`, in walk order; `to` is visited exactly once, last. Returns the
+/// number of cells visited. Allocation-free form of bresenham_line().
+template <typename F>
+size_t for_each_line_cell(CellIndex from, CellIndex to, F&& f) {
+  const int dx = std::abs(to.x - from.x);
+  const int dy = std::abs(to.y - from.y);
+  const int sx = from.x < to.x ? 1 : -1;
+  const int sy = from.y < to.y ? 1 : -1;
+  // The walk moves along the major axis on every step and along the minor
+  // axis when the error term says so, reaching `to` after max(dx, dy) steps.
+  // The minor step is a select, not a branch: on a sloped ray it follows no
+  // pattern a predictor can learn.
+  int err = dx - dy;
+  CellIndex cur = from;
+  if (dx >= dy) {
+    for (int i = 0; i < dx; ++i) {
+      f(cur);
+      const bool step_y = 2 * err < dx;
+      err += (step_y ? dx : 0) - dy;
+      cur.x += sx;
+      cur.y += step_y ? sy : 0;
+    }
+  } else {
+    for (int i = 0; i < dy; ++i) {
+      f(cur);
+      const bool step_x = 2 * err > -dy;
+      err += dx - (step_x ? dy : 0);
+      cur.x += step_x ? sx : 0;
+      cur.y += sy;
+    }
+  }
+  f(cur);
+  return static_cast<size_t>(std::max(dx, dy)) + 1;
+}
 
 /// Cells visited by a ray between two grid cells (integer Bresenham walk).
 std::vector<CellIndex> bresenham_line(CellIndex from, CellIndex to);

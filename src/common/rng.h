@@ -44,9 +44,11 @@ class Rng {
     return std::uniform_int_distribution<int>(lo, hi)(engine_);
   }
 
-  /// Gaussian with the given mean and standard deviation.
+  /// Gaussian with the given mean and standard deviation. Scales a standard
+  /// normal draw (libstdc++'s own `ret * stddev + mean`), so a zero stddev is
+  /// legal, returns `mean`, and consumes the same engine draws as any other.
   double gaussian(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev + mean;
   }
 
   /// Bernoulli trial with probability p of returning true.

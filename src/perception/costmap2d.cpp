@@ -1,8 +1,12 @@
 #include "perception/costmap2d.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
-#include <queue>
+#include <cstddef>
+#include <cstring>
+#include <limits>
 
 namespace lgv::perception {
 
@@ -64,90 +68,199 @@ uint8_t Costmap2D::inflation_cost(double d) const {
 void Costmap2D::mark_and_clear(const Pose2D& pose, const msg::LaserScan& scan,
                                CostmapUpdateStats& stats) {
   const CellIndex origin_cell = frame_.world_to_cell(pose.position());
+  const unsigned w = static_cast<unsigned>(obstacle_layer_.width());
+  const unsigned h = static_cast<unsigned>(obstacle_layer_.height());
+  uint8_t* const obstacle = obstacle_layer_.data().data();
   for (size_t i = 0; i < scan.ranges.size(); ++i) {
     const double r = static_cast<double>(scan.ranges[i]);
     const bool hit = r <= scan.range_max && r >= scan.range_min;
     const double reach = std::min(hit ? r : scan.range_max, config_.raytrace_range);
     const double angle = pose.theta + scan.angle_of(i);
     const Point2D end{pose.x + std::cos(angle) * reach, pose.y + std::sin(angle) * reach};
-    const auto cells = bresenham_line(origin_cell, frame_.world_to_cell(end));
-    const size_t n_clear = cells.size() - (hit ? 1 : 0);
-    for (size_t k = 0; k < n_clear; ++k) {
-      if (obstacle_layer_.in_bounds(cells[k])) {
-        obstacle_layer_.at(cells[k]) = kCostFreeSpace;
+    const CellIndex end_cell = frame_.world_to_cell(end);
+    const bool end_in_bounds = obstacle_layer_.in_bounds(end_cell);
+    const uint8_t end_before = end_in_bounds ? obstacle_layer_.at(end_cell) : kCostFreeSpace;
+    // Clear the whole beam; the walk visits end_cell exactly once, last, so a
+    // hit's endpoint is then put back (or marked) as if it was never cleared.
+    stats.raytraced_cells += for_each_line_cell(origin_cell, end_cell, [&](CellIndex c) {
+      if (static_cast<unsigned>(c.x) < w && static_cast<unsigned>(c.y) < h) {
+        obstacle[static_cast<size_t>(c.y) * w + c.x] = kCostFreeSpace;
       }
+    });
+    if (hit && end_in_bounds) {
+      obstacle_layer_.at(end_cell) =
+          reach <= config_.obstacle_range ? kCostLethal : end_before;
     }
-    if (hit && reach <= config_.obstacle_range) {
-      const CellIndex c = cells.back();
-      if (obstacle_layer_.in_bounds(c)) obstacle_layer_.at(c) = kCostLethal;
-    }
-    stats.raytraced_cells += cells.size();
   }
 }
 
-size_t Costmap2D::inflate() {
-  // Combine static + obstacle layers, then run a BFS wavefront outward from
-  // every lethal cell up to the inflation radius.
+InflationKernel InflationKernel::build(const CostmapConfig& config,
+                                       const GridFrame& frame, int width, int height) {
+  const double res = frame.resolution;
+  const double radius = config.inflation_radius;
+  const double inscribed = config.inscribed_radius;
+  // The BFS's Chebyshev box. No two cells of the grid are farther apart than
+  // max(width, height) on either axis, so a wider box changes nothing.
+  const int max_steps = static_cast<int>(std::ceil(radius / res)) + 1;
+  const int box = std::max(0, std::min(max_steps, std::max(width, height)));
+  assert(box < INT16_MAX);
+
+  // The costmap measures d between absolute cell centres, each rounded at
+  // the magnitude of the frame's coordinates; d from the integer offset can
+  // differ from it by a few ulps of that magnitude. Offsets whose d falls
+  // inside this band around a threshold are ties.
+  const double extent = std::max(
+      {std::abs(frame.origin.x), std::abs(frame.origin.x + width * res),
+       std::abs(frame.origin.y), std::abs(frame.origin.y + height * res)});
+  const double tol = 32.0 * std::numeric_limits<double>::epsilon() *
+                     (extent + std::abs(radius) + std::abs(inscribed));
+  const double cost_tol =
+      1e-6 + 4.0 * (kCostInscribed - 1) * std::abs(config.cost_scaling) * tol;
+
+  InflationKernel k;
+  k.half = box + 1;
+  k.stride = 2 * k.half + 1;
+  k.entries.assign(static_cast<size_t>(k.stride) * k.stride, kSkip);
+  for (int dy = -box; dy <= box; ++dy) {
+    for (int dx = -box; dx <= box; ++dx) {
+      const double d = std::hypot(dx * res, dy * res);
+      uint16_t e;
+      if (std::abs(d - radius) <= tol || std::abs(d - inscribed) <= tol) {
+        e = kExact;
+      } else if (d > radius) {
+        e = kSkip;
+      } else if (d <= inscribed) {
+        e = kCostInscribed;
+      } else {
+        const double v = static_cast<double>(kCostInscribed - 1) *
+                         std::exp(-config.cost_scaling * (d - inscribed));
+        e = (v >= 0.0 && v < kCostInscribed && std::abs(v - std::nearbyint(v)) > cost_tol)
+                ? static_cast<uint8_t>(v)
+                : kExact;
+      }
+      k.entries[static_cast<size_t>(dy + k.half) * k.stride + (dx + k.half)] = e;
+    }
+  }
+  return k;
+}
+
+void Costmap2D::prepare_inflation() {
   const int w = cost_.width(), h = cost_.height();
-  struct Seed {
-    CellIndex cell;
-    CellIndex source;
-  };
-  std::queue<Seed> frontier;
-  Grid<uint8_t> visited(w, h, 0);
+  const int bw = w + 2;
+  kernel_ = InflationKernel::build(config_, frame_, w, h);
+  // Rim cells stay marked; inflate() rewrites the interior on every call.
+  visited_.assign(static_cast<size_t>(bw) * (h + 2), 1);
+  work_.assign(visited_.size(), kCostNoInformation);
+  // Every cell is enqueued at most once: as a source or when claimed.
+  queue_.resize(static_cast<size_t>(w) * h);
+}
+
+uint16_t Costmap2D::exact_inflation_cost(int32_t cell, int dx, int dy) const {
+  const int bw = cost_.width() + 2;
+  const CellIndex n{cell % bw - 1, cell / bw - 1};
+  const double d =
+      distance(frame_.cell_to_world(n), frame_.cell_to_world({n.x - dx, n.y - dy}));
+  if (d > config_.inflation_radius) return InflationKernel::kSkip;
+  return inflation_cost(d);
+}
+
+size_t Costmap2D::inflate() {
+  if (visited_.empty()) prepare_inflation();
+  const int w = cost_.width(), h = cost_.height();
+  const int bw = w + 2;
+  uint8_t* const visited = visited_.data();
+  uint8_t* const work = work_.data();
+  QueueEntry* const queue = queue_.data();
+
+  // Combine static + obstacle layers, then enqueue every lethal cell as a
+  // BFS source in row-major order. Lethal cells are sparse, so the row is
+  // scanned eight visited bytes at a time.
+  size_t tail = 0;
+  for (int y = 0; y < h; ++y) {
+    const uint8_t* const srow = static_layer_.data().data() + static_cast<size_t>(y) * w;
+    const uint8_t* const orow = obstacle_layer_.data().data() + static_cast<size_t>(y) * w;
+    const int32_t brow = (y + 1) * bw + 1;
+    uint8_t* const wrow = work + brow;
+    uint8_t* const vrow = visited + brow;
+    for (int x = 0; x < w; ++x) {
+      const uint8_t s = srow[x];
+      const uint8_t o = orow[x];
+      // A beam raytraced through is known free, even where the static map
+      // had no information.
+      const uint8_t v = (s == kCostLethal || o == kCostLethal) ? kCostLethal
+                        : o == kCostFreeSpace                  ? kCostFreeSpace
+                                                               : s;
+      wrow[x] = v;
+      vrow[x] = v == kCostLethal;
+    }
+    for (int x = 0; x < w; x += 8) {
+      const int n = std::min(8, w - x);
+      uint64_t any = 0;
+      std::memcpy(&any, vrow + x, static_cast<size_t>(n));
+      if (any == 0) continue;
+      for (int j = 0; j < n; ++j) {
+        queue[tail] = {brow + x + j, 0, 0};
+        tail += vrow[x + j];
+      }
+    }
+  }
+
+  // BFS wavefront in FIFO order; a cell is marked visited only when claimed.
+  constexpr int kDx[] = {1, -1, 0, 0, 1, 1, -1, -1};
+  constexpr int kDy[] = {0, 0, 1, -1, 1, -1, 1, -1};
+  const int ts = kernel_.stride;
+  int32_t cell_step[8];
+  int table_step[8];
+  for (int k = 0; k < 8; ++k) {
+    cell_step[k] = kDy[k] * bw + kDx[k];
+    table_step[k] = kDy[k] * ts + kDx[k];
+  }
+  const uint16_t* const table_centre =
+      kernel_.entries.data() + static_cast<ptrdiff_t>(kernel_.half) * (ts + 1);
+  size_t head = 0;
+  while (head < tail) {
+    const QueueEntry e = queue[head++];
+    // Unvisited neighbours as bits in neighbour order. Claims below touch only
+    // this cell's neighbours, each once, so the snapshot stays exact.
+    const uint8_t* const p = visited + e.cell;
+    const uint8_t* const up = p - bw;
+    const uint8_t* const down = p + bw;
+    unsigned open = static_cast<unsigned>(p[1] == 0) |
+                    static_cast<unsigned>(p[-1] == 0) << 1 |
+                    static_cast<unsigned>(down[0] == 0) << 2 |
+                    static_cast<unsigned>(up[0] == 0) << 3 |
+                    static_cast<unsigned>(down[1] == 0) << 4 |
+                    static_cast<unsigned>(up[1] == 0) << 5 |
+                    static_cast<unsigned>(down[-1] == 0) << 6 |
+                    static_cast<unsigned>(up[-1] == 0) << 7;
+    const uint16_t* const t = table_centre + e.dy * ts + e.dx;
+    while (open != 0) {
+      const int k = std::countr_zero(open);
+      open &= open - 1;
+      uint16_t c = t[table_step[k]];
+      const int32_t n = e.cell + cell_step[k];
+      if (c >= InflationKernel::kSkip) {
+        if (c == InflationKernel::kSkip) continue;
+        c = exact_inflation_cost(n, e.dx + kDx[k], e.dy + kDy[k]);
+        if (c == InflationKernel::kSkip) continue;
+      }
+      visited[n] = 1;
+      uint8_t& cell = work[n];
+      if (cell != kCostLethal &&
+          (cell == kCostNoInformation ? c >= kCostInscribed : c > cell)) {
+        // Unknown cells stay unknown unless the inflation makes them unsafe.
+        cell = static_cast<uint8_t>(c);
+      }
+      queue[tail++] = {n, static_cast<int16_t>(e.dx + kDx[k]),
+                       static_cast<int16_t>(e.dy + kDy[k])};
+    }
+  }
 
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const uint8_t s = static_layer_.at(x, y);
-      const uint8_t o = obstacle_layer_.at(x, y);
-      uint8_t v;
-      if (s == kCostLethal || o == kCostLethal) {
-        v = kCostLethal;
-      } else if (o == kCostFreeSpace) {
-        // A beam raytraced through: known free, even where the static map
-        // had no information.
-        v = kCostFreeSpace;
-      } else {
-        v = s;  // static free / unknown
-      }
-      cost_.at(x, y) = v;
-      if (v == kCostLethal) {
-        frontier.push({{x, y}, {x, y}});
-        visited.at(x, y) = 1;
-      }
-    }
+    std::memcpy(cost_.data().data() + static_cast<size_t>(y) * w, work + (y + 1) * bw + 1,
+                static_cast<size_t>(w));
   }
-
-  size_t processed = 0;
-  const int max_steps =
-      static_cast<int>(std::ceil(config_.inflation_radius / frame_.resolution)) + 1;
-  while (!frontier.empty()) {
-    const Seed s = frontier.front();
-    frontier.pop();
-    ++processed;
-    constexpr int dx[] = {1, -1, 0, 0, 1, 1, -1, -1};
-    constexpr int dy[] = {0, 0, 1, -1, 1, -1, 1, -1};
-    for (int k = 0; k < 8; ++k) {
-      const CellIndex n{s.cell.x + dx[k], s.cell.y + dy[k]};
-      if (!cost_.in_bounds(n) || visited.at(n) != 0) continue;
-      if (std::abs(n.x - s.source.x) > max_steps || std::abs(n.y - s.source.y) > max_steps)
-        continue;
-      const double d =
-          distance(frame_.cell_to_world(n), frame_.cell_to_world(s.source));
-      if (d > config_.inflation_radius) continue;
-      visited.at(n) = 1;
-      const uint8_t c = inflation_cost(d);
-      uint8_t& cell = cost_.at(n);
-      if (cell != kCostLethal && (cell == kCostNoInformation ? c >= kCostInscribed
-                                                             : c > cell)) {
-        cell = c;
-      } else if (cell == kCostNoInformation && c < kCostInscribed) {
-        // Leave unknown cells unknown unless the inflation makes them unsafe.
-      }
-      frontier.push({n, s.source});
-    }
-  }
-  return processed;
+  return head;
 }
 
 CostmapUpdateStats Costmap2D::update(const Pose2D& pose, const msg::LaserScan& scan) {

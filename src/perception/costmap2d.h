@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/geometry.h"
 #include "common/grid.h"
@@ -35,6 +36,33 @@ struct CostmapUpdateStats {
   size_t inflated_cells = 0;    ///< inflation-layer work units
 };
 
+/// Inflation outcome for every integer offset (dx, dy) of a cell from its
+/// claiming lethal source, over the inflation BFS's Chebyshev box plus a
+/// one-cell rim of kSkip (so a neighbour of any in-box offset indexes the
+/// table without a bounds check). An entry is the uint8_t cost, kSkip (beyond
+/// the box or the inflation radius), or kExact: a tie, where the absolute-
+/// coordinate distance can land on either side of `inflation_radius` or
+/// `inscribed_radius`, or where 252·exp(·) is within 1e-6 of an integer. A
+/// kExact offset is evaluated per cell with the costmap's own expression.
+struct InflationKernel {
+  static constexpr uint16_t kSkip = 256;
+  static constexpr uint16_t kExact = 257;
+
+  int half = 0;    ///< table spans dx, dy in [-half, half]; half = box + 1
+  int stride = 0;  ///< 2 * half + 1
+  std::vector<uint16_t> entries;  ///< row-major over dy, then dx
+
+  uint16_t at(int dx, int dy) const {
+    return entries[static_cast<size_t>(dy + half) * stride + (dx + half)];
+  }
+
+  /// Table for a `width` x `height` costmap in `frame`; the frame's extent
+  /// bounds the rounding of its absolute cell coordinates, so it sets the
+  /// width of the tie band.
+  static InflationKernel build(const CostmapConfig& config, const GridFrame& frame,
+                               int width, int height);
+};
+
 class Costmap2D {
  public:
   Costmap2D() = default;
@@ -60,7 +88,10 @@ class Costmap2D {
   /// Obstacle layer + inflation update from one scan at `pose`.
   CostmapUpdateStats update(const Pose2D& pose, const msg::LaserScan& scan);
 
-  /// Re-run inflation from scratch (also called by update()).
+  /// Combine the layers and re-run inflation from scratch (also called by
+  /// update()). A multi-source BFS from every lethal cell in row-major order:
+  /// a cell takes the cost of whichever source's wave claims it first.
+  /// Returns the number of cells dequeued (sources + claimed cells).
   size_t inflate();
 
   msg::OccupancyGridMsg to_msg(double stamp) const;
@@ -77,6 +108,21 @@ class Costmap2D {
   /// beam has raytraced through, kCostNoInformation where never observed.
   Grid<uint8_t> obstacle_layer_;
   Grid<uint8_t> cost_;           ///< combined + inflated master grid
+
+  /// Inflation scratch, allocated on the first inflate() and reused. The
+  /// bordered arrays are (width + 2) x (height + 2), with the visited rim
+  /// pre-marked so the BFS needs no bounds check.
+  struct QueueEntry {
+    int32_t cell;    ///< bordered cell index
+    int16_t dx, dy;  ///< offset from the claiming source
+  };
+  void prepare_inflation();
+  uint16_t exact_inflation_cost(int32_t cell, int dx, int dy) const;
+
+  InflationKernel kernel_;
+  std::vector<uint8_t> visited_;
+  std::vector<uint8_t> work_;    ///< bordered combined + inflated costs
+  std::vector<QueueEntry> queue_;
 };
 
 }  // namespace lgv::perception

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 namespace lgv {
 namespace {
@@ -114,6 +115,46 @@ TEST(Bresenham, EndpointsAlwaysIncludedAndConnected) {
       for (size_t i = 1; i < cells.size(); ++i) {
         EXPECT_LE(std::abs(cells[i].x - cells[i - 1].x), 1);
         EXPECT_LE(std::abs(cells[i].y - cells[i - 1].y), 1);
+      }
+    }
+  }
+}
+
+// The branching error-term walk that for_each_line_cell replaced.
+std::vector<CellIndex> reference_walk(CellIndex from, CellIndex to) {
+  std::vector<CellIndex> cells;
+  const int dx = std::abs(to.x - from.x);
+  const int dy = std::abs(to.y - from.y);
+  const int sx = from.x < to.x ? 1 : -1;
+  const int sy = from.y < to.y ? 1 : -1;
+  int err = dx - dy;
+  CellIndex cur = from;
+  while (true) {
+    cells.push_back(cur);
+    if (cur == to) break;
+    const int e2 = 2 * err;
+    if (e2 > -dy) {
+      err -= dy;
+      cur.x += sx;
+    }
+    if (e2 < dx) {
+      err += dx;
+      cur.y += sy;
+    }
+  }
+  return cells;
+}
+
+TEST(Bresenham, ForEachLineCellMatchesReferenceWalk) {
+  for (const CellIndex from : {CellIndex{0, 0}, CellIndex{3, -7}, CellIndex{-40, 25}}) {
+    for (int x = -45; x <= 45; ++x) {
+      for (int y = -45; y <= 45; ++y) {
+        const CellIndex to{from.x + x, from.y + y};
+        const std::vector<CellIndex> want = reference_walk(from, to);
+        std::vector<CellIndex> got;
+        const size_t n = for_each_line_cell(from, to, [&](CellIndex c) { got.push_back(c); });
+        ASSERT_EQ(got, want) << "to (" << to.x << ", " << to.y << ")";
+        ASSERT_EQ(n, want.size());
       }
     }
   }

@@ -109,6 +109,19 @@ TEST(Rng, GaussianMoments) {
   EXPECT_NEAR(var, 9.0, 0.5);
 }
 
+TEST(Rng, GaussianZeroStddevReturnsMeanAndAdvancesLikeUnit) {
+  // Noise-free sensor configs pass stddev 0. It must return the mean and
+  // consume the same engine draws as a unit draw, so later draws in the
+  // stream do not shift.
+  Rng zero(17), unit(17);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(zero.gaussian(1.5, 0.0), 1.5);
+    unit.gaussian(1.5, 1.0);
+    ASSERT_EQ(zero.engine(), unit.engine()) << "draw " << i;
+  }
+  EXPECT_EQ(zero.uniform(), unit.uniform());
+}
+
 TEST(Rng, BernoulliExtremes) {
   Rng r(13);
   for (int i = 0; i < 100; ++i) {

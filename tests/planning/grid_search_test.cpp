@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "perception/occupancy_grid.h"
 #include "sim/world.h"
 
@@ -88,6 +90,10 @@ TEST(GridSearch, AStarMatchesDijkstraCostWithFewerExpansions) {
 struct SearchCase {
   double sx, sy, gx, gy;
 };
+
+void PrintTo(const SearchCase& c, std::ostream* os) {
+  *os << "from" << c.sx << "_" << c.sy << "_to" << c.gx << "_" << c.gy;
+}
 
 class AStarOptimality : public ::testing::TestWithParam<SearchCase> {};
 

@@ -23,6 +23,10 @@ struct InflationCase {
   double scaling;
 };
 
+void PrintTo(const InflationCase& c, std::ostream* os) {
+  *os << "radius" << c.radius << "_scaling" << c.scaling;
+}
+
 class InflationMonotone : public ::testing::TestWithParam<InflationCase> {};
 
 TEST_P(InflationMonotone, CostDecaysAwayFromObstacle) {

@@ -2,6 +2,8 @@
 // spaces asserting the invariants the reproduction's conclusions rest on.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.h"
 #include "core/analytical_model.h"
 #include "msg/messages.h"
@@ -18,6 +20,10 @@ struct Eq2cCase {
   double a_max;
   double d;
 };
+
+void PrintTo(const Eq2cCase& c, std::ostream* os) {
+  *os << "amax" << c.a_max << "_d" << c.d;
+}
 
 class Eq2cMonotonicity : public ::testing::TestWithParam<Eq2cCase> {};
 

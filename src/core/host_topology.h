@@ -63,9 +63,6 @@ class HostTopology {
   /// Stamp of the last material mutation (starts at 1 once any host exists).
   uint64_t generation() const { return generation_; }
 
-  /// Round-trip time of the src → dst path (the link's rtt; 0 on self).
-  double path_rtt(int src, int dst) const { return link(src, dst).rtt_s; }
-
   /// The paper's deployment: LGV + one remote host over the wireless channel.
   static HostTopology two_host(platform::Host remote, int remote_threads,
                                double bandwidth_bps, double rtt_s, double loss = 0.0);

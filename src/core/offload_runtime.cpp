@@ -143,8 +143,8 @@ OffloadRuntime::OffloadRuntime(DeploymentPlan plan, Point2D wap_position,
         plan_.edge_threads, std::max(1, plan_.remote_threads),
         channel_config.uplink_rate_bps / 8.0,
         2.0 * channel_config.base_latency_s, /*wlan_loss=*/0.0, kWanRttS);
-    placement_engine_ = std::make_unique<PlacementEngine>(
-        make_pipeline_dag(), std::move(topo), plan_.placement);
+    placement_engine_ =
+        std::make_unique<PlacementEngine>(make_pipeline_dag(), std::move(topo));
     placement_engine_->set_telemetry(telemetry_.get());
   }
 }

@@ -45,11 +45,10 @@ struct DeploymentPlan {
   /// N-host mode: place the pipeline over a lgv → edge_gateway → cloud_server
   /// HostTopology with the PlacementEngine, seeded by Algorithm 1's two-host
   /// answer. Algorithm 2 keeps its retreat-local authority; while the VDP is
-  /// remote, adjustment epochs run bounded re-optimizations instead of the
+  /// remote, adjustment epochs re-optimize the placement instead of the
   /// binary flip.
   bool multi_tier = false;
   int edge_threads = 8;  ///< gateway parallel width in the three-tier topology
-  PlacementEngineConfig placement;  ///< optimizer knobs (multi_tier only)
 };
 
 DeploymentPlan local_plan(WorkloadKind workload);
@@ -134,11 +133,11 @@ class OffloadRuntime {
   /// invalidate the cost tables; unchanged numbers are free (satellite:
   /// repeated steps with unchanged profiles rebuild nothing).
   void refresh_placement_model();
-  /// Bounded re-optimization re-trigger (the cooperating layer Algorithm 2
-  /// and AP-handoff events invoke instead of a full solve). Applies the
-  /// improved assignment while the VDP is remote; a no-op when the vehicle
-  /// has retreated local (Algorithm 2 keeps that authority) or when not in
-  /// multi-tier mode. `trigger` labels the telemetry marker.
+  /// Re-optimization re-trigger (the cooperating layer Algorithm 2 and
+  /// AP-handoff events invoke; free while the link model is unchanged).
+  /// Applies the engine's assignment while the VDP is remote; a no-op when
+  /// the vehicle has retreated local (Algorithm 2 keeps that authority) or
+  /// when not in multi-tier mode. `trigger` labels the telemetry marker.
   PlacementResult reoptimize_placement(const char* trigger);
   /// Algorithm 2 outcome: move every currently-remote node local (or the
   /// plan's remote set back out). Returns true when anything moved.

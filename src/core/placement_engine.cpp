@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
-#include <limits>
+#include <stdexcept>
+#include <string>
 
-#include "common/rng.h"
 #include "common/telemetry/telemetry.h"
 
 namespace lgv::core {
@@ -14,27 +13,19 @@ namespace lgv::core {
 namespace {
 
 /// Cost assigned to assignments that violate a pin or route over a dead
-/// link: large enough that any feasible plan beats any infeasible one, small
-/// enough that the gap between two infeasible plans still guides the search.
+/// link: large enough that any feasible plan beats any infeasible one.
 constexpr double kUnplaceable = 1e6;
 
-/// Modeled cycle prices of the evaluator itself (charged to the vehicle's
-/// cost model so a solve has a deterministic virtual cost — the < 10 ms
-/// adjustment-epoch budget). Calibrated from the bench's measured ns/eval on
-/// commodity x86 scaled to the RPi's IPC.
-constexpr double kCyclesPerDeltaEval = 220.0;
-constexpr double kCyclesPerFullEvalUnit = 25.0;  ///< per (node + edge + link)
+/// Objective weights (the WOA formulation's soft constraints).
+constexpr double kRttThresholdS = 0.1;       ///< control deadline
+constexpr double kRttPenaltyWeight = 4.0;    ///< seconds per second of excess RTT
+constexpr double kCapacityPenaltyS = 2.0;    ///< seconds per unit link overload
 
-/// Counter-based uniform draw: pure function of (stream, counter), so a
-/// candidate's update sequence replays bit-identically on any worker.
-double draw01(uint64_t stream, uint64_t& counter) {
-  const uint64_t bits = splitmix64(stream + ++counter);
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-uint32_t draw_index(uint64_t stream, uint64_t& counter, uint32_t n) {
-  return static_cast<uint32_t>(draw01(stream, counter) * n) % n;
-}
+/// Modeled cycle price of one full plan pricing, per (node + edge + link)
+/// unit, charged to the vehicle's cost model so a solve has a deterministic
+/// virtual cost (the < 10 ms adjustment-epoch budget). Calibrated from
+/// measured ns/eval on commodity x86 scaled to the RPi's IPC.
+constexpr double kCyclesPerFullEvalUnit = 25.0;
 
 }  // namespace
 
@@ -47,24 +38,32 @@ int PlacementDag::add_node(std::string name, double serial, double parallel,
   serial_cycles.push_back(serial);
   parallel_cycles.push_back(parallel);
   pinned.push_back(pin);
-  ++generation_;
   return static_cast<int>(serial_cycles.size()) - 1;
 }
 
 void PlacementDag::add_edge(int src, int dst, double bytes, double rate_hz) {
   edges.push_back(Edge{static_cast<uint32_t>(src), static_cast<uint32_t>(dst),
                        bytes, rate_hz});
-  ++generation_;
 }
 
 // ---------------------------------------------------------------------------
 // PlacementEngine
 
-PlacementEngine::PlacementEngine(PlacementDag dag, HostTopology topology,
-                                 PlacementEngineConfig config)
-    : dag_(std::move(dag)), topology_(std::move(topology)), config_(config) {
+PlacementEngine::PlacementEngine(PlacementDag dag, HostTopology topology)
+    : dag_(std::move(dag)), topology_(std::move(topology)) {
   assert(topology_.host_count() > 0 && topology_.host_count() <= 255);
-  build_adjacency();
+  uint64_t plans = 1;
+  for (size_t i = 0; i < dag_.node_count(); ++i) {
+    if (dag_.pinned[i] != PlacementDag::kFreeHost) continue;
+    free_nodes_.push_back(i);
+    plans *= static_cast<uint64_t>(hosts());
+    if (plans > kMaxPlans) {
+      throw std::invalid_argument(
+          "PlacementEngine: more than " + std::to_string(kMaxPlans) +
+          " plans to enumerate (" + std::to_string(hosts()) + " hosts, " +
+          std::to_string(free_nodes_.size()) + "+ free nodes)");
+    }
+  }
   refresh_tables();
 }
 
@@ -81,37 +80,8 @@ void PlacementEngine::set_telemetry(telemetry::Telemetry* telemetry) {
   delta_evals_counter_ = &m.counter("placement_delta_evals_total");
 }
 
-void PlacementEngine::build_adjacency() {
-  const size_t n = dag_.node_count();
-  const size_t hh = static_cast<size_t>(hosts()) * static_cast<size_t>(hosts());
-  std::vector<uint32_t> out_degree(n, 0);
-  std::vector<uint32_t> in_degree(n, 0);
-  for (const PlacementDag::Edge& e : dag_.edges) {
-    ++out_degree[e.src];
-    ++in_degree[e.dst];
-  }
-  adj_out_offsets_.assign(n + 1, 0);
-  adj_in_offsets_.assign(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    adj_out_offsets_[i + 1] = adj_out_offsets_[i] + out_degree[i];
-    adj_in_offsets_[i + 1] = adj_in_offsets_[i] + in_degree[i];
-  }
-  adj_out_.resize(adj_out_offsets_[n]);
-  adj_in_.resize(adj_in_offsets_[n]);
-  std::vector<uint32_t> out_fill(adj_out_offsets_.begin(), adj_out_offsets_.end() - 1);
-  std::vector<uint32_t> in_fill(adj_in_offsets_.begin(), adj_in_offsets_.end() - 1);
-  for (uint32_t e = 0; e < dag_.edges.size(); ++e) {
-    const PlacementDag::Edge& edge = dag_.edges[e];
-    const AdjEdge entry{e * hh, 0, edge.bytes * edge.rate_hz};
-    adj_out_[out_fill[edge.src]] = entry;
-    adj_out_[out_fill[edge.src]++].other = edge.dst;
-    adj_in_[in_fill[edge.dst]] = entry;
-    adj_in_[in_fill[edge.dst]++].other = edge.src;
-  }
-}
-
 bool PlacementEngine::refresh_tables() {
-  if (table_rebuilds_ > 0 && built_dag_generation_ == dag_.generation() &&
+  if (table_rebuilds_ > 0 &&
       built_topology_generation_ == topology_.generation()) {
     return false;
   }
@@ -140,7 +110,6 @@ bool PlacementEngine::refresh_tables() {
   }
 
   edge_table_.assign(dag_.edges.size() * h * h * 2, 0.0);
-  sum_table_.assign(dag_.edges.size() * h * h, 0.0);
   inv_capacity_.assign(h * h, 0.0);
   for (size_t s = 0; s < h; ++s) {
     for (size_t d = 0; d < h; ++d) {
@@ -155,14 +124,12 @@ bool PlacementEngine::refresh_tables() {
     const PlacementDag::Edge& edge = dag_.edges[e];
     for (size_t s = 0; s < h; ++s) {
       for (size_t d = 0; d < h; ++d) {
-        const size_t sum_idx = (static_cast<size_t>(e) * h + s) * h + d;
-        const size_t idx = sum_idx * 2;
+        const size_t idx = ((static_cast<size_t>(e) * h + s) * h + d) * 2;
         if (s == d) continue;  // co-located: free, no penalty
         const TopologyLink& l =
             topology_.link(static_cast<int>(s), static_cast<int>(d));
         if (!(l.bandwidth_bps > 0.0)) {
           edge_table_[idx] = kUnplaceable;
-          sum_table_[sum_idx] = kUnplaceable;
           continue;
         }
         // One-way serialization + half the RTT, inflated by expected
@@ -170,32 +137,22 @@ bool PlacementEngine::refresh_tables() {
         const double loss_factor = 1.0 / std::max(1e-3, 1.0 - l.loss);
         edge_table_[idx] =
             (edge.bytes / l.bandwidth_bps) * loss_factor + 0.5 * l.rtt_s;
-        const double excess = l.rtt_s - config_.rtt_threshold_s;
-        if (excess > 0.0) {
-          edge_table_[idx + 1] = config_.rtt_penalty_weight * excess;
-        }
-        sum_table_[sum_idx] = edge_table_[idx] + edge_table_[idx + 1];
+        const double excess = l.rtt_s - kRttThresholdS;
+        if (excess > 0.0) edge_table_[idx + 1] = kRttPenaltyWeight * excess;
       }
     }
   }
 
-  built_dag_generation_ = dag_.generation();
   built_topology_generation_ = topology_.generation();
   ++table_rebuilds_;
   return true;
 }
 
-double PlacementEngine::link_penalty(size_t link, double load_bps) const {
-  const double util = load_bps * inv_capacity_[link];
-  return util > 1.0 ? config_.capacity_penalty_s * (util - 1.0) : 0.0;
-}
-
-void PlacementEngine::price(PlacementCandidate& c) const {
+void PlacementEngine::price(PlacementCandidate& c) {
   const size_t n = dag_.node_count();
   const size_t h = static_cast<size_t>(hosts());
   assert(c.host.size() == n);
-  c.link_load_bps.assign(h * h, 0.0);
-  c.link_penalty_s.assign(h * h, 0.0);
+  link_load_.assign(h * h, 0.0);
   c.compute_s = 0.0;
   c.transfer_s = 0.0;
   c.rtt_penalty_s = 0.0;
@@ -207,365 +164,91 @@ void PlacementEngine::price(PlacementCandidate& c) const {
     const PlacementDag::Edge& edge = dag_.edges[e];
     const uint8_t s = c.host[edge.src];
     const uint8_t d = c.host[edge.dst];
-    const double* cost = edge_cost(e, s, d);
+    const double* cost = &edge_table_[((e * h + s) * h + d) * 2];
     c.transfer_s += cost[0];
     c.rtt_penalty_s += cost[1];
-    // Self links carry no penalty; keeping them out of the load books keeps
-    // the candidate's caches byte-identical with compute_move's updates.
-    if (s != d) c.link_load_bps[link_index(s, d)] += edge.bytes * edge.rate_hz;
+    if (s != d) link_load_[s * h + d] += edge.bytes * edge.rate_hz;
   }
+  // Self links and unconstrained links have inv_capacity_ 0: no penalty.
   for (size_t l = 0; l < h * h; ++l) {
-    c.link_penalty_s[l] = link_penalty(l, c.link_load_bps[l]);
-    c.capacity_penalty_s += c.link_penalty_s[l];
+    const double util = link_load_[l] * inv_capacity_[l];
+    c.capacity_penalty_s += util > 1.0 ? kCapacityPenaltyS * (util - 1.0) : 0.0;
   }
-}
-
-PlacementCandidate PlacementEngine::make_candidate(
-    const std::vector<uint8_t>& assignment) {
-  refresh_tables();
-  PlacementCandidate c;
-  c.host.assign(assignment.begin(), assignment.end());
-  price(c);
-  return c;
 }
 
 double PlacementEngine::full_cost(const std::vector<uint8_t>& assignment) {
   refresh_tables();
-  static thread_local PlacementCandidate scratch;
-  scratch.host.assign(assignment.begin(), assignment.end());
-  price(scratch);
-  return scratch.cost();
+  PlacementCandidate c;
+  c.host.assign(assignment.begin(), assignment.end());
+  price(c);
+  return c.cost();
 }
 
-namespace {
-/// Per-thread move-kernel scratch (255 hosts max). POD with static
-/// initialization — no thread-safe init guard on the hot path.
-struct MoveScratch {
-  double lanes[2 * 256];  ///< per-host load lanes (out, in)
-};
-thread_local MoveScratch g_move_scratch;
-}  // namespace
+PlacementResult PlacementEngine::enumerate(const std::vector<uint8_t>& start) {
+  assert(start.size() == dag_.node_count());
+  refresh_tables();
+  best_.host.assign(start.begin(), start.end());
+  price(best_);
+  incumbent_tables_ = table_rebuilds_;
 
-template <bool kCollect, size_t kH>
-PlacementEngine::MoveDelta PlacementEngine::move_impl(
-    const PlacementCandidate& c, int node, uint8_t to,
-    std::vector<std::pair<size_t, double>>* affected) const {
-  MoveDelta delta;
-  if (kCollect) affected->clear();
-  const uint8_t from = c.host[static_cast<size_t>(node)];
-  if (from == to) return delta;
-  const size_t h = kH != 0 ? kH : static_cast<size_t>(hosts());
-  delta.d_compute = compute_table_[static_cast<size_t>(node) * h + to] -
-                    compute_table_[static_cast<size_t>(node) * h + from];
-
-  // Every link a move touches has `from` or `to` as one endpoint, and the
-  // load a produced edge takes off link (from → o) is exactly the load it
-  // puts on (to → o) — so two dense per-host lanes suffice: out_[o] is the
-  // load shifting (from → o) ⇒ (to → o), in_[o] the load shifting (o →
-  // from) ⇒ (o → to). No dedup scan; self entries are dead lanes the
-  // penalty pass skips.
-  // Fixed-count zeroing for realistic host counts: unrolls to a few wide
-  // stores instead of a libc memset call of runtime length.
-  MoveScratch& scratch = g_move_scratch;
-  if (kH != 0) {
-    for (size_t i = 0; i < 2 * kH; ++i) scratch.lanes[i] = 0.0;
-  } else if (h <= 8) {
-    for (size_t i = 0; i < 16; ++i) scratch.lanes[i] = 0.0;
-  } else {
-    std::memset(scratch.lanes, 0, 2 * h * sizeof(double));
-  }
-  double* out_ = scratch.lanes;
-  double* in_ = scratch.lanes + h;
-
-  const size_t from_off = static_cast<size_t>(from) * h;
-  const size_t to_off = static_cast<size_t>(to) * h;
-  const uint8_t* host = c.host.data();
-  double d_transfer = 0.0;
-  double d_rtt = 0.0;
-
-  // Edge legs: table rows (from, other) → (to, other) for produced edges,
-  // (other, from) → (other, to) for consumed ones. The preview path reads
-  // the precombined sum table (one load per endpoint, half the footprint);
-  // the apply path needs the transfer/rtt split to maintain the candidate's
-  // per-term caches, so it reads the interleaved table.
-  const AdjEdge* out = adj_out_.data();
-  for (uint32_t a = adj_out_offsets_[static_cast<size_t>(node)],
-                end = adj_out_offsets_[static_cast<size_t>(node) + 1];
-       a < end; ++a) {
-    const AdjEdge& ref = out[a];
-    const size_t other = host[ref.other];
-    if constexpr (kCollect) {
-      const double* old_cost = &edge_table_[(ref.table_base + from_off + other) * 2];
-      const double* new_cost = &edge_table_[(ref.table_base + to_off + other) * 2];
-      d_transfer += new_cost[0] - old_cost[0];
-      d_rtt += new_cost[1] - old_cost[1];
-    } else {
-      d_transfer += sum_table_[ref.table_base + to_off + other] -
-                    sum_table_[ref.table_base + from_off + other];
-    }
-    out_[other] += ref.load_bps;
-  }
-  const AdjEdge* in = adj_in_.data();
-  for (uint32_t a = adj_in_offsets_[static_cast<size_t>(node)],
-                end = adj_in_offsets_[static_cast<size_t>(node) + 1];
-       a < end; ++a) {
-    const AdjEdge& ref = in[a];
-    const size_t other = host[ref.other];
-    const size_t other_off = other * h;
-    if constexpr (kCollect) {
-      const double* old_cost = &edge_table_[(ref.table_base + other_off + from) * 2];
-      const double* new_cost = &edge_table_[(ref.table_base + other_off + to) * 2];
-      d_transfer += new_cost[0] - old_cost[0];
-      d_rtt += new_cost[1] - old_cost[1];
-    } else {
-      d_transfer += sum_table_[ref.table_base + other_off + to] -
-                    sum_table_[ref.table_base + other_off + from];
-    }
-    in_[other] += ref.load_bps;
-  }
-  delta.d_transfer = d_transfer;
-  delta.d_rtt_penalty = d_rtt;
-
-  // Affected links: every one has `from` or `to` as an endpoint; the (from,
-  // to) and (to, from) links appear in two lanes each and are merged up
-  // front; self links never enter the books (their penalty is identically
-  // zero). No zero-delta filtering: a Δ of 0.0 yields a penalty contribution
-  // of exactly 0.0 (same multiply-by-inverse form as link_penalty()), so
-  // every visit runs unconditionally and `max` keeps the pass branch-free.
-  const double* load_bps = c.link_load_bps.data();
-  const double* pen_s = c.link_penalty_s.data();
-  const double* invc = inv_capacity_.data();
-  const double cap_w = config_.capacity_penalty_s;
-  double d_capacity = 0.0;
-  auto visit = [&](size_t link, double d) {
-    const double util = (load_bps[link] + d) * invc[link];
-    d_capacity += cap_w * std::max(util - 1.0, 0.0) - pen_s[link];
-    if (kCollect) affected->emplace_back(link, d);
-  };
-  visit(from_off + to, in_[from] - out_[to]);
-  visit(to_off + from, out_[from] - in_[to]);
-  for (size_t o = 0; o < h; ++o) {
-    if (o == from || o == to) continue;
-    const double out_d = out_[o];
-    const double in_d = in_[o];
-    visit(from_off + o, -out_d);
-    visit(to_off + o, out_d);
-    visit(o * h + from, -in_d);
-    visit(o * h + to, in_d);
-  }
-  delta.d_capacity_penalty = d_capacity;
-  return delta;
-}
-
-template <bool kCollect>
-PlacementEngine::MoveDelta PlacementEngine::move_dispatch(
-    const PlacementCandidate& c, int node, uint8_t to,
-    std::vector<std::pair<size_t, double>>* affected) const {
-  switch (hosts()) {
-    case 2: return move_impl<kCollect, 2>(c, node, to, affected);
-    case 3: return move_impl<kCollect, 3>(c, node, to, affected);
-    case 4: return move_impl<kCollect, 4>(c, node, to, affected);
-    default: return move_impl<kCollect, 0>(c, node, to, affected);
-  }
-}
-
-PlacementEngine::MoveDelta PlacementEngine::compute_move(
-    const PlacementCandidate& c, int node, uint8_t to,
-    std::vector<std::pair<size_t, double>>* affected) const {
-  return affected != nullptr ? move_dispatch<true>(c, node, to, affected)
-                             : move_dispatch<false>(c, node, to, nullptr);
-}
-
-PlacementEngine::MoveDelta PlacementEngine::preview_move(const PlacementCandidate& c,
-                                                         int node, uint8_t to) const {
-  return move_dispatch<false>(c, node, to, nullptr);
-}
-
-void PlacementEngine::apply_move(PlacementCandidate& c, int node, uint8_t to) const {
-  static thread_local std::vector<std::pair<size_t, double>> scratch;
-  const MoveDelta delta = move_dispatch<true>(c, node, to, &scratch);
-  if (c.host[static_cast<size_t>(node)] == to) return;
-  for (const auto& [link, d] : scratch) {
-    c.link_load_bps[link] += d;
-    c.link_penalty_s[link] = link_penalty(link, c.link_load_bps[link]);
-  }
-  c.host[static_cast<size_t>(node)] = to;
-  c.compute_s += delta.d_compute;
-  c.transfer_s += delta.d_transfer;
-  c.rtt_penalty_s += delta.d_rtt_penalty;
-  c.capacity_penalty_s += delta.d_capacity_penalty;
-}
-
-uint64_t PlacementEngine::evolve_candidate(PlacementCandidate& c,
-                                           const PlacementCandidate& best,
-                                           uint64_t stream, double a) {
-  const uint32_t h = static_cast<uint32_t>(hosts());
-  uint64_t counter = 0;
-  // --- WOA position update over the discrete host alphabet. The continuous
-  // encircling/spiral equations become adoption probabilities: a shrinking
-  // |A| pulls hosts toward the best candidate's (exploitation), a large |A|
-  // re-rolls them uniformly (exploration), the spiral branch copies the best
-  // with fixed probability. Pinned nodes never move.
-  bool jumped = false;
-  for (size_t node = 0; node < dag_.node_count(); ++node) {
-    if (dag_.pinned[node] != PlacementDag::kFreeHost) continue;
-    const double r1 = draw01(stream, counter);
-    const double p = draw01(stream, counter);
-    const double A = 2.0 * a * r1 - a;
-    uint8_t next = c.host[node];
-    if (p < 0.5) {
-      if (std::fabs(A) < 1.0) {
-        if (draw01(stream, counter) < 1.0 - std::fabs(A)) next = best.host[node];
-      } else {
-        if (draw01(stream, counter) < 0.5) {
-          next = static_cast<uint8_t>(draw_index(stream, counter, h));
-        }
-      }
-    } else {
-      if (draw01(stream, counter) < 0.7) next = best.host[node];
-    }
-    if (next != c.host[node]) {
-      c.host[node] = next;
-      jumped = true;
-    }
-  }
-  // A jump rewrites many coordinates at once: one O(|DAG|) re-price is
-  // cheaper than a delta per changed node and resets incremental drift.
-  if (jumped) price(c);
-
-  // --- Greedy local-search polish: delta-priced single-node moves, accepted
-  // only when they strictly improve. This is where the O(degree) evaluator
-  // earns its keep — config_.local_moves neighbors cost less than one full
-  // re-price.
-  uint64_t delta_evals = 0;
-  if (!free_nodes_.empty() && h > 1) {
-    for (int m = 0; m < config_.local_moves; ++m) {
-      const int node = static_cast<int>(
-          free_nodes_[draw_index(stream, counter,
-                                 static_cast<uint32_t>(free_nodes_.size()))]);
-      const uint8_t cur = c.host[static_cast<size_t>(node)];
-      const uint8_t to = static_cast<uint8_t>(
-          (cur + 1 + draw_index(stream, counter, h - 1)) % h);
-      const MoveDelta d = preview_move(c, node, to);
-      ++delta_evals;
-      if (d.total() < -1e-12) apply_move(c, node, to);
-    }
-  }
-  return delta_evals;
-}
-
-PlacementResult PlacementEngine::run_iterations(int iterations) {
   PlacementResult result;
-  result.seed_cost_s = seed_cost_s_;
-  result.iterations = iterations;
-
-  const int pool_size = static_cast<int>(swarm_.size());
-  std::vector<uint64_t> delta_counts(static_cast<size_t>(pool_size), 0);
-  for (int it = 0; it < iterations; ++it) {
-    // WOA's a: 2 → 0 across this run's budget.
-    const double a =
-        iterations > 1 ? 2.0 * (1.0 - static_cast<double>(it) / (iterations - 1))
-                       : 1.0;
-    const PlacementCandidate best_prev = best_;
-    const int abs_it = absolute_iteration_++;
-    auto evolve_range = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const uint64_t stream =
-            splitmix64(splitmix64(config_.seed + i) +
-                       static_cast<uint64_t>(abs_it));
-        delta_counts[i] += evolve_candidate(swarm_[i], best_prev, stream, a);
-      }
-    };
-    if (pool_ != nullptr && pool_size > 1) {
-      pool_->parallel_dynamic(static_cast<size_t>(pool_size), 1, evolve_range);
-    } else {
-      evolve_range(0, static_cast<size_t>(pool_size));
-    }
-    // Deterministic reduction: candidates are compared in index order, so
-    // the winner is the same at any worker count.
-    for (const PlacementCandidate& c : swarm_) {
-      if (c.cost() < best_.cost()) best_ = c;
-    }
-    result.full_evals += static_cast<uint64_t>(pool_size);  // jump re-prices
+  result.seed_cost_s = best_.cost();
+  result.plans_priced = 1;
+  PlacementCandidate plan;
+  plan.host.resize(dag_.node_count());
+  for (size_t i = 0; i < dag_.node_count(); ++i) {
+    plan.host[i] = dag_.pinned[i] == PlacementDag::kFreeHost ? 0 : dag_.pinned[i];
   }
-  for (uint64_t d : delta_counts) result.delta_evals += d;
+  const uint8_t last_host = static_cast<uint8_t>(hosts() - 1);
+  for (;;) {
+    price(plan);
+    ++result.plans_priced;
+    if (plan.cost() < best_.cost()) best_ = plan;
+    // Advance the odometer: the first free node is the fastest digit.
+    size_t digit = 0;
+    for (; digit < free_nodes_.size(); ++digit) {
+      uint8_t& host = plan.host[free_nodes_[digit]];
+      if (host < last_host) {
+        ++host;
+        break;
+      }
+      host = 0;
+    }
+    if (digit == free_nodes_.size()) break;
+  }
 
   result.assignment.assign(best_.host.begin(), best_.host.end());
   result.cost_s = best_.cost();
   result.improved = result.cost_s < result.seed_cost_s - 1e-12;
-
   // Deterministic modeled cost of the solve on the vehicle's silicon.
   const double eval_unit = static_cast<double>(
       dag_.node_count() + dag_.edges.size() +
       static_cast<size_t>(hosts()) * static_cast<size_t>(hosts()));
-  const double cycles =
-      static_cast<double>(result.delta_evals) * kCyclesPerDeltaEval +
-      static_cast<double>(result.full_evals) * kCyclesPerFullEvalUnit * eval_unit;
   result.modeled_solve_s =
-      cycles / topology_.cost_model(0).spec().single_thread_ops_per_sec();
+      static_cast<double>(result.plans_priced) * kCyclesPerFullEvalUnit * eval_unit /
+      topology_.cost_model(0).spec().single_thread_ops_per_sec();
   return result;
 }
 
 PlacementResult PlacementEngine::solve(const std::vector<uint8_t>& seed_assignment) {
-  assert(seed_assignment.size() == dag_.node_count());
-  refresh_tables();
-  free_nodes_.clear();
-  for (size_t i = 0; i < dag_.node_count(); ++i) {
-    if (dag_.pinned[i] == PlacementDag::kFreeHost) free_nodes_.push_back(i);
-  }
-
-  // Candidate 0 is Algorithm 1's plan verbatim; the rest are perturbations
-  // of it. Best-ever starts at the seed, so the result can never be worse.
-  swarm_.assign(static_cast<size_t>(std::max(1, config_.candidates)),
-                PlacementCandidate{});
-  const uint32_t h = static_cast<uint32_t>(hosts());
-  uint64_t full_evals = 0;
-  for (size_t i = 0; i < swarm_.size(); ++i) {
-    PlacementCandidate& c = swarm_[i];
-    c.host.assign(seed_assignment.begin(), seed_assignment.end());
-    if (i > 0 && h > 1) {
-      const uint64_t stream = splitmix64(config_.seed ^ (0xa5a5a5a5ULL + i));
-      uint64_t counter = 0;
-      for (size_t node : free_nodes_) {
-        if (draw01(stream, counter) < 0.3) {
-          c.host[node] = static_cast<uint8_t>(draw_index(stream, counter, h));
-        }
-      }
-    }
-    price(c);
-    ++full_evals;
-  }
-  best_ = swarm_[0];
-  seed_cost_s_ = swarm_[0].cost();
-  for (const PlacementCandidate& c : swarm_) {
-    if (c.cost() < best_.cost()) best_ = c;
-  }
-
-  PlacementResult result = run_iterations(config_.iterations);
-  result.full_evals += full_evals;
+  PlacementResult result = enumerate(seed_assignment);
   ++solves_total_;
   record_solve(result, "solve");
   return result;
 }
 
-PlacementResult PlacementEngine::reoptimize(int iterations) {
+PlacementResult PlacementEngine::reoptimize() {
   assert(has_incumbent() && "reoptimize requires a prior solve()");
-  if (iterations <= 0) iterations = config_.reoptimize_iterations;
-  uint64_t repriced = 0;
-  if (refresh_tables()) {
-    // Link observations or DAG edits moved the generation: every cached
-    // candidate cost is stale. Re-price in place; the pool's diversity (and
-    // the incumbent) carry over.
-    for (PlacementCandidate& c : swarm_) {
-      price(c);
-      ++repriced;
-    }
-    price(best_);
-    ++repriced;
-    seed_cost_s_ = best_.cost();
+  refresh_tables();
+  PlacementResult result;
+  if (table_rebuilds_ == incumbent_tables_) {
+    // Same tables the incumbent was chosen under: it is still the optimum.
+    result.assignment.assign(best_.host.begin(), best_.host.end());
+    result.cost_s = best_.cost();
+    result.seed_cost_s = result.cost_s;
+  } else {
+    result = enumerate(std::vector<uint8_t>(best_.host.begin(), best_.host.end()));
   }
-  PlacementResult result = run_iterations(iterations);
-  result.full_evals += repriced;
   ++solves_total_;
   record_solve(result, "reoptimize");
   return result;
@@ -573,7 +256,7 @@ PlacementResult PlacementEngine::reoptimize(int iterations) {
 
 void PlacementEngine::record_solve(const PlacementResult& r, const char* mode) {
   if (solves_counter_ != nullptr) solves_counter_->inc();
-  if (delta_evals_counter_ != nullptr) delta_evals_counter_->inc(r.delta_evals);
+  if (delta_evals_counter_ != nullptr) delta_evals_counter_->inc(r.plans_priced);
   if (telemetry_ != nullptr) {
     const double improvement =
         r.seed_cost_s > 0.0 ? (r.seed_cost_s - r.cost_s) / r.seed_cost_s : 0.0;
@@ -581,9 +264,7 @@ void PlacementEngine::record_solve(const PlacementResult& r, const char* mode) {
         "placement.solve", "lgv", "placement", telemetry_->now(),
         r.modeled_solve_s,
         {{"mode", mode},
-         {"candidates", std::to_string(swarm_.size())},
-         {"iterations", std::to_string(r.iterations)},
-         {"delta_evals", std::to_string(r.delta_evals)},
+         {"plans_priced", std::to_string(r.plans_priced)},
          {"cost_s", std::to_string(r.cost_s)},
          {"improvement", std::to_string(improvement)}});
   }

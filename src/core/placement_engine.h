@@ -1,57 +1,47 @@
 // Multi-tier placement engine: prices "which host runs which node" plans for
-// an N-host HostTopology over the computation DAG, and searches that space
-// fast enough to run every adjustment epoch.
+// an N-host HostTopology over the computation DAG and picks the cheapest by
+// exact enumeration, cheaply enough to run every adjustment epoch.
 //
-// Three layers:
+// Two layers:
 //
 //  1. Cost tables — per-(node, host) compute seconds and per-(edge, host
 //     pair) transfer seconds (plus the RTT-threshold penalty), precomputed
 //     from the Table III cost models and the topology's link observables.
-//     Tables are generation-stamped against the DAG and topology (like the
-//     LikelihoodField's map-version invalidation): feeding back unchanged
-//     observations rebuilds nothing.
+//     The engine owns its DAG, so only the topology can move: tables are
+//     stamped with its generation (like the LikelihoodField's map-version
+//     invalidation), and feeding back unchanged observations rebuilds
+//     nothing.
 //
-//  2. Incremental evaluator — a candidate is a flat SoA byte array (one host
-//     index per node) plus cached cost terms and per-link offered load.
-//     preview_move/apply_move re-price only the touched node and its
-//     incident edges, so evaluating a neighbor is O(degree), not O(|DAG|).
-//     full_cost() is the always-available reference the tests compare
-//     against.
-//
-//  3. Parallel optimizer — a discrete whale-optimization (WOA) candidate
-//     pool (SNIPPETS.md Snippets 2–3's binary formulation generalized from
-//     {local, cloud} to N hosts) with a greedy delta-priced local-search
-//     polish per iteration. Candidate updates are pure functions of (their
-//     previous state, the previous global best, a per-candidate splitmix64
-//     stream), so the pool parallelizes across ThreadPool workers with
-//     bit-identical results at any worker count. Algorithm 1's two-host
-//     answer seeds candidate 0 and is tracked as best-ever from iteration
-//     zero — the engine can never return a plan worse than Algorithm 1's.
+//  2. Exact search — an odometer over the free (unpinned) nodes prices every
+//     assignment with the full reference evaluation. The live DAG has 5 free
+//     nodes, so three hosts give 3^5 = 243 plans; the constructor rejects
+//     plan spaces beyond kMaxPlans. Algorithm 1's two-host answer is priced
+//     first and wins ties, so the engine never returns a plan worse than it.
 //
 // The modeled objective is the additive pipeline makespan (Σ node compute +
 // Σ edge transfer, matching the paper's additive VDP makespan) plus two
-// soft-constraint terms from the WOA formulation: an RTT-threshold penalty
-// on edges whose path latency exceeds the control deadline, and a capacity
-// penalty on links offered more bytes/s than they carry.
+// soft-constraint terms from the WOA formulation (SNIPPETS.md Snippets 2–3):
+// an RTT-threshold penalty on edges whose path latency exceeds the control
+// deadline, and a capacity penalty on links offered more bytes/s than they
+// carry.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/soa.h"
-#include "common/thread_pool.h"
 #include "core/host_topology.h"
 
 namespace lgv::telemetry {
+class Counter;
 class Telemetry;
 }
 
 namespace lgv::core {
 
 /// The computation graph being placed. Node storage is SoA; `kFreeHost`
-/// marks a node the optimizer may move, anything else pins it (the velocity
+/// marks a node the search may move, anything else pins it (the velocity
 /// mux never leaves the vehicle).
 struct PlacementDag {
   static constexpr uint8_t kFreeHost = 0xff;
@@ -74,18 +64,11 @@ struct PlacementDag {
   void add_edge(int src, int dst, double bytes, double rate_hz = 5.0);
 
   size_t node_count() const { return serial_cycles.size(); }
-  uint64_t generation() const { return generation_; }
-
- private:
-  uint64_t generation_ = 0;
 };
 
-/// One placement under evaluation: the flat assignment plus every cached
-/// term an O(degree) move update needs.
+/// One priced placement: the flat assignment plus its cost terms.
 struct PlacementCandidate {
-  aligned_vector<uint8_t> host;      ///< host index per node
-  std::vector<double> link_load_bps; ///< offered bytes/s per (src, dst) pair
-  std::vector<double> link_penalty_s;  ///< cached capacity penalty per link
+  aligned_vector<uint8_t> host;  ///< host index per node
   double compute_s = 0.0;
   double transfer_s = 0.0;
   double rtt_penalty_s = 0.0;
@@ -96,24 +79,11 @@ struct PlacementCandidate {
   }
 };
 
-struct PlacementEngineConfig {
-  int candidates = 16;       ///< WOA pool size
-  int iterations = 32;       ///< solve() iteration budget
-  int local_moves = 8;       ///< delta-priced local-search proposals per candidate/iter
-  int reoptimize_iterations = 6;  ///< bounded budget for re-trigger epochs
-  double rtt_threshold_s = 0.1;   ///< control deadline (the WOA RTT threshold)
-  double rtt_penalty_weight = 4.0;     ///< seconds charged per second of excess RTT
-  double capacity_penalty_s = 2.0;     ///< seconds charged per unit link overload
-  uint64_t seed = 0x5eed;
-};
-
 struct PlacementResult {
   std::vector<uint8_t> assignment;  ///< host index per node
   double cost_s = 0.0;              ///< modeled makespan + penalties
-  double seed_cost_s = 0.0;         ///< the seed (Algorithm 1) plan's cost
-  int iterations = 0;
-  uint64_t delta_evals = 0;   ///< O(degree) move previews this solve
-  uint64_t full_evals = 0;    ///< O(|DAG|) candidate re-pricings this solve
+  double seed_cost_s = 0.0;         ///< the seed (or incumbent) plan's cost
+  uint64_t plans_priced = 0;        ///< full O(N+E+H²) pricings this call
   /// Deterministic modeled compute time of the solve itself on the vehicle
   /// (what the adjustment epoch pays — the < 10 ms budget).
   double modeled_solve_s = 0.0;
@@ -122,158 +92,76 @@ struct PlacementResult {
 
 class PlacementEngine {
  public:
-  PlacementEngine(PlacementDag dag, HostTopology topology,
-                  PlacementEngineConfig config = {});
+  /// Largest plan space (host_count ^ free nodes) the engine enumerates:
+  /// 4096 pricings of a pipeline-sized DAG stay inside the 10 ms epoch
+  /// budget on the vehicle model. The live pipeline on three hosts has 243.
+  static constexpr uint64_t kMaxPlans = 4096;
+
+  /// Throws std::invalid_argument when the plan space exceeds kMaxPlans.
+  PlacementEngine(PlacementDag dag, HostTopology topology);
 
   const PlacementDag& dag() const { return dag_; }
   const HostTopology& topology() const { return topology_; }
   /// Mutable so link observations can be fed live; the next refresh_tables()
   /// (called internally by every solve) picks up the new generation.
   HostTopology& topology() { return topology_; }
-  const PlacementEngineConfig& config() const { return config_; }
 
-  /// Real threads for the candidate pool (results are bit-identical with or
-  /// without); nullptr = serial. The pool must outlive the engine.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   /// placement.solve spans + placement_solves_total /
-  /// placement_delta_evals_total counters; nullptr disconnects.
+  /// placement_delta_evals_total (plans priced) counters; nullptr
+  /// disconnects.
   void set_telemetry(telemetry::Telemetry* telemetry);
 
   // ---- cost tables ----
-  /// Rebuild the compute/transfer/penalty tables iff the DAG or topology
-  /// generation moved since the last build. Returns true when work was done.
+  /// Rebuild the compute/transfer/penalty tables iff the topology generation
+  /// moved since the last build. Returns true when work was done.
   bool refresh_tables();
   uint64_t table_rebuilds() const { return table_rebuilds_; }
 
-  // ---- evaluation ----
-  /// Price `assignment` from scratch (the O(|DAG|) reference).
-  PlacementCandidate make_candidate(const std::vector<uint8_t>& assignment);
   /// Reference total cost of an assignment (used by tests and benches).
   double full_cost(const std::vector<uint8_t>& assignment);
 
-  struct MoveDelta {
-    double d_compute = 0.0;
-    double d_transfer = 0.0;
-    double d_rtt_penalty = 0.0;
-    double d_capacity_penalty = 0.0;
-    double total() const {
-      return d_compute + d_transfer + d_rtt_penalty + d_capacity_penalty;
-    }
-  };
-  /// Cost change of re-hosting `node` to `to`, touching only the node's
-  /// compute entry, its incident edges, and the ≤ 2·degree affected links.
-  /// Does not mutate the candidate. The preview reads the precombined sum
-  /// table, so d_transfer carries transfer + RTT penalty and d_rtt_penalty
-  /// is 0 — consume total(), not the individual terms (apply_move reprices
-  /// the split exactly).
-  MoveDelta preview_move(const PlacementCandidate& c, int node, uint8_t to) const;
-  /// Apply the move, updating the cached terms by the preview's deltas.
-  void apply_move(PlacementCandidate& c, int node, uint8_t to) const;
-
   // ---- search ----
-  /// Full WOA + local-search solve seeded by `seed_assignment` (Algorithm
-  /// 1's two-host plan in production; anything valid in tests). The result
-  /// is never worse than the seed.
+  /// Exact solve: prices the seed (Algorithm 1's two-host plan in
+  /// production; anything valid in tests), then every assignment of the
+  /// free nodes, and keeps the cheapest. The seed wins ties, otherwise the
+  /// first plan in odometer order (first free node fastest) does — so the
+  /// result is deterministic and never worse than the seed.
   PlacementResult solve(const std::vector<uint8_t>& seed_assignment);
-  /// Bounded re-optimization from the incumbent pool — the cheap re-trigger
-  /// path Algorithm 2 / ApSelector handoffs invoke. Requires a prior solve().
-  PlacementResult reoptimize(int iterations = 0);
+  /// Re-trigger path Algorithm 2 / ApSelector handoffs invoke. Returns the
+  /// incumbent without pricing anything when the tables have not been
+  /// rebuilt since it was chosen (the optimum cannot have moved); otherwise
+  /// re-enumerates with the incumbent winning ties. Requires a prior solve().
+  PlacementResult reoptimize();
 
   bool has_incumbent() const { return !best_.host.empty(); }
   const PlacementCandidate& incumbent() const { return best_; }
   uint64_t solves_total() const { return solves_total_; }
 
  private:
-  /// One incident edge in the move kernel's adjacency: everything a move
-  /// needs, precomputed — no dag_.edges indirection on the hot path.
-  struct AdjEdge {
-    size_t table_base;  ///< edge × H²: the edge's slab in sum_table_ (× 2 for
-                        ///< the interleaved edge_table_)
-    uint32_t other;     ///< the neighbor node (the endpoint that stays put)
-    double load_bps;    ///< bytes × rate_hz
-  };
-
   int hosts() const { return topology_.host_count(); }
-  size_t link_index(uint8_t src, uint8_t dst) const {
-    return static_cast<size_t>(src) * static_cast<size_t>(hosts()) + dst;
-  }
-  /// Fused per-(edge, src host, dst host) entry: [0] transfer seconds, [1]
-  /// RTT-threshold penalty seconds. One index computation, adjacent loads.
-  const double* edge_cost(uint32_t edge, uint8_t src_host, uint8_t dst_host) const {
-    return &edge_table_[((static_cast<size_t>(edge) * hosts() + src_host) * hosts() +
-                         dst_host) *
-                        2];
-  }
-  /// Capacity penalty of one link carrying `load_bps` (0 on self links and
-  /// unconstrained links; uses the precomputed inverse capacity — no divide).
-  double link_penalty(size_t link, double load_bps) const;
-  /// Re-price `c` from its assignment: the O(|DAG|) full evaluation that
-  /// make_candidate/full_cost and post-jump re-pricing share.
-  void price(PlacementCandidate& c) const;
-  /// Shared core of preview_move/apply_move. Every affected link has `from`
-  /// or `to` as an endpoint, so load changes accumulate into two dense
-  /// per-host lanes (outbound/inbound; the load an edge takes off `from→o`
-  /// is exactly what it puts on `to→o`) and the penalty pass enumerates the
-  /// ≤ 4·H distinct links once — O(degree + H) per move. When `affected` is
-  /// non-null it receives the unique (link, load-change) pairs apply_move
-  /// folds into the candidate's caches.
-  MoveDelta compute_move(const PlacementCandidate& c, int node, uint8_t to,
-                         std::vector<std::pair<size_t, double>>* affected) const;
-  /// The move kernel behind compute_move, specialized so the preview path
-  /// (kCollect = false) carries no affected-list bookkeeping at all, and on
-  /// kH (the host count as a compile-time constant for the common 2–4 host
-  /// tiers, 0 = runtime) so lane zeroing, loop trip counts, and table
-  /// addressing all constant-fold.
-  template <bool kCollect, size_t kH>
-  MoveDelta move_impl(const PlacementCandidate& c, int node, uint8_t to,
-                      std::vector<std::pair<size_t, double>>* affected) const;
-  template <bool kCollect>
-  MoveDelta move_dispatch(const PlacementCandidate& c, int node, uint8_t to,
-                          std::vector<std::pair<size_t, double>>* affected) const;
-  void build_adjacency();
-  /// Candidate update for one WOA iteration: pure function of (the
-  /// candidate, the previous best, the per-candidate stream) — the unit the
-  /// pool parallelizes. Returns delta-eval count performed.
-  uint64_t evolve_candidate(PlacementCandidate& c, const PlacementCandidate& best,
-                            uint64_t stream, double a);
-  PlacementResult run_iterations(int iterations);
+  /// Price `c` from its assignment: the O(N + E + H²) full evaluation.
+  void price(PlacementCandidate& c);
+  /// Make `start` the incumbent, then enumerate every plan and keep the
+  /// strictly cheaper ones (see solve()).
+  PlacementResult enumerate(const std::vector<uint8_t>& start);
   void record_solve(const PlacementResult& r, const char* mode);
 
   PlacementDag dag_;
   HostTopology topology_;
-  PlacementEngineConfig config_;
-  ThreadPool* pool_ = nullptr;
   telemetry::Telemetry* telemetry_ = nullptr;
 
-  // Tables (rebuilt when dag/topology generations move).
+  // Tables (rebuilt when the topology generation moves).
   aligned_vector<double> compute_table_;  ///< node × host seconds
-  /// edge × host × host × {transfer s, rtt penalty s}, interleaved.
+  /// edge × src host × dst host × {transfer s, rtt penalty s}, interleaved.
   aligned_vector<double> edge_table_;
-  /// edge × host × host → transfer + rtt penalty, precombined. The preview
-  /// path only needs the summed move delta, so it reads this half-size table
-  /// (one load where edge_table_ needs two, and twice the L1 reach).
-  aligned_vector<double> sum_table_;
   aligned_vector<double> inv_capacity_;   ///< 1/bandwidth per link (0 = free)
-  uint64_t built_dag_generation_ = 0;
+  std::vector<double> link_load_;         ///< price() scratch: bytes/s per link
   uint64_t built_topology_generation_ = 0;
   uint64_t table_rebuilds_ = 0;
 
-  // CSR adjacency, split by direction so the move kernel runs two
-  // branch-free loops: per node, [out_offsets_[n], out_offsets_[n+1]) are
-  // edges the node produces, [in_offsets_[n], in_offsets_[n+1]) edges it
-  // consumes.
-  std::vector<uint32_t> adj_out_offsets_;
-  std::vector<uint32_t> adj_in_offsets_;
-  std::vector<AdjEdge> adj_out_;
-  std::vector<AdjEdge> adj_in_;
-
-  // Optimizer state.
-  std::vector<PlacementCandidate> swarm_;
+  std::vector<size_t> free_nodes_;  ///< unpinned node indices (the odometer digits)
   PlacementCandidate best_;
-  std::vector<size_t> free_nodes_;  ///< unpinned node indices (move targets)
-  double seed_cost_s_ = 0.0;        ///< cost of the seed plan this epoch
-  int absolute_iteration_ = 0;  ///< rng streams key off this, so reoptimize
-                                ///< epochs never replay solve() draws
+  uint64_t incumbent_tables_ = 0;   ///< table_rebuilds_ when best_ was chosen
   uint64_t solves_total_ = 0;
 
   // Telemetry handles (null when disconnected).

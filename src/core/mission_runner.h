@@ -60,7 +60,7 @@ struct MissionConfig {
   /// *different* missions, not N replays of one.
   uint64_t seed = 0x5eed;
   /// This vehicle's index in the fleet; -1 = standalone (seed used as-is).
-  /// Also stamps the wire session id and the telemetry vehicle_id.
+  /// Also names the telemetry vehicle_id.
   int vehicle_index = -1;
   /// Shared fleet worker (see FleetAttachment); nullptr = the runtime owns
   /// its remote compute as before. Must outlive the runner.

@@ -70,14 +70,8 @@ OffloadRuntime::OffloadRuntime(DeploymentPlan plan, Point2D wap_position,
   standby_pool_ = fleet.standby;
   standby_host_ = fleet.standby_host;
   remote_host_ = plan_.remote_host;
-  if (vehicle_index_ >= 0) {
-    // Session identity on the wire: every frame this vehicle's Switcher sends
-    // carries its id, so the shared worker sequences each vehicle's stream
-    // independently (no cross-vehicle duplicate rejects).
-    switcher_.set_session_id(static_cast<uint16_t>(vehicle_index_ + 1));
-    if (telemetry_config.vehicle_id.empty()) {
-      telemetry_config.vehicle_id = "lgv-" + std::to_string(vehicle_index_);
-    }
+  if (vehicle_index_ >= 0 && telemetry_config.vehicle_id.empty()) {
+    telemetry_config.vehicle_id = "lgv-" + std::to_string(vehicle_index_);
   }
   cost_models_.emplace(platform::Host::kLgv,
                        platform::CostModel(platform::turtlebot3_spec()));

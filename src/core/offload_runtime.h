@@ -67,9 +67,10 @@ DeploymentPlan three_tier_plan(const std::string& name, int cloud_threads,
 /// "busy". The pool must outlive every runtime attached to it.
 struct FleetAttachment {
   WorkerPool* pool = nullptr;
-  /// >= 0 identifies this vehicle in the fleet: stamps the wire session id
-  /// (vehicle_index + 1) on every frame and defaults the telemetry
-  /// vehicle_id to "lgv-<index>".
+  /// >= 0 identifies this vehicle in the fleet and defaults the telemetry
+  /// vehicle_id to "lgv-<index>". Its frames need no vehicle tag: each
+  /// runtime owns its Switcher, so two vehicles' streams never meet in one
+  /// receiver.
   int vehicle_index = -1;
   /// Standby pool (PR 9): on primary loss, once the per-vehicle circuit
   /// breaker opens, the runtime ships a crash-consistent state snapshot to

@@ -69,13 +69,12 @@ void flip_random_bits(std::vector<uint8_t>& bytes, double p, Rng& rng) {
 }
 
 // The CRC covers bytes [0,14) — everything before the CRC field — continued
-// over bytes [18, end): for a v1 frame that is exactly the payload, for a v2
-// frame the trace ids plus the payload. One formula for both versions, and
-// the trace context is integrity-protected.
+// over bytes [18, end): the trace ids plus the payload, so the trace context
+// is integrity-protected.
+constexpr size_t kCrcFieldEnd = 18;
 uint32_t frame_crc(const std::vector<uint8_t>& frame) {
   const uint32_t crc_header = crc32c(frame.data(), 14);
-  return crc32c(frame.data() + kFrameHeaderSizeV1, frame.size() - kFrameHeaderSizeV1,
-                crc_header);
+  return crc32c(frame.data() + kCrcFieldEnd, frame.size() - kCrcFieldEnd, crc_header);
 }
 
 constexpr uint16_t kMigrationTopicId = 0xFFFF;
@@ -87,83 +86,33 @@ constexpr uint8_t kDirControl = 2;
 
 std::vector<uint8_t> frame_wrap(uint8_t direction, uint16_t topic_id,
                                 uint32_t seq, const std::vector<uint8_t>& payload,
-                                uint32_t trace_id, uint32_t span_id,
-                                uint16_t session_id) {
-  // Session 0 emits v2 so single-vehicle traffic stays byte-identical to the
-  // previous wire format (golden-frame compatibility); a fleet's nonzero
-  // sessions ride the two extra v3 bytes.
-  const bool v3 = session_id != 0;
-  const size_t header = v3 ? kFrameHeaderSizeV3 : kFrameHeaderSize;
-  std::vector<uint8_t> f(header + payload.size());
+                                uint32_t trace_id, uint32_t span_id) {
+  std::vector<uint8_t> f(kFrameHeaderSize + payload.size());
   store_u16(f, 0, kFrameMagic);
-  f[2] = v3 ? kFrameVersion : uint8_t{2};
+  f[2] = kFrameVersion;
   f[3] = direction;
   store_u16(f, 4, topic_id);
   store_u32(f, 6, seq);
   store_u32(f, 10, static_cast<uint32_t>(payload.size()));
   store_u32(f, 18, trace_id);
   store_u32(f, 22, span_id);
-  if (v3) store_u16(f, 26, session_id);
-  std::copy(payload.begin(), payload.end(), f.begin() + header);
-  store_u32(f, 14, frame_crc(f));
-  return f;
-}
-
-std::vector<uint8_t> frame_wrap_v1(uint8_t direction, uint16_t topic_id,
-                                   uint32_t seq, const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> f(kFrameHeaderSizeV1 + payload.size());
-  store_u16(f, 0, kFrameMagic);
-  f[2] = 1;
-  f[3] = direction;
-  store_u16(f, 4, topic_id);
-  store_u32(f, 6, seq);
-  store_u32(f, 10, static_cast<uint32_t>(payload.size()));
-  std::copy(payload.begin(), payload.end(), f.begin() + kFrameHeaderSizeV1);
+  std::copy(payload.begin(), payload.end(), f.begin() + kFrameHeaderSize);
   store_u32(f, 14, frame_crc(f));
   return f;
 }
 
 const char* frame_check(const std::vector<uint8_t>& frame) {
-  if (frame.size() < kFrameHeaderSizeV1) return "runt";
+  if (frame.size() < kFrameHeaderSize) return "runt";
   if (load_u16(frame, 0) != kFrameMagic) return "bad_magic";
-  const uint8_t version = frame[2];
-  if (version == 0 || version > kFrameVersion) return "bad_version";
-  const size_t header = version == 1   ? kFrameHeaderSizeV1
-                        : version == 2 ? kFrameHeaderSize
-                                       : kFrameHeaderSizeV3;
-  if (frame.size() < header) return "runt";
-  if (load_u32(frame, 10) != frame.size() - header) {
-    return "length_mismatch";
-  }
+  if (frame[2] != kFrameVersion) return "bad_version";
+  if (load_u32(frame, 10) != frame.size() - kFrameHeaderSize) return "length_mismatch";
   if (load_u32(frame, 14) != frame_crc(frame)) return "crc";
   return nullptr;
 }
 
 uint32_t frame_seq(const std::vector<uint8_t>& frame) { return load_u32(frame, 6); }
-
-size_t frame_header_size(const std::vector<uint8_t>& frame) {
-  if (frame.size() <= 2) return kFrameHeaderSize;
-  switch (frame[2]) {
-    case 1:
-      return kFrameHeaderSizeV1;
-    case 2:
-      return kFrameHeaderSize;
-    default:
-      return kFrameHeaderSizeV3;
-  }
-}
-
-uint32_t frame_trace_id(const std::vector<uint8_t>& frame) {
-  return frame_header_size(frame) == kFrameHeaderSizeV1 ? 0 : load_u32(frame, 18);
-}
-
-uint32_t frame_span_id(const std::vector<uint8_t>& frame) {
-  return frame_header_size(frame) == kFrameHeaderSizeV1 ? 0 : load_u32(frame, 22);
-}
-
-uint16_t frame_session_id(const std::vector<uint8_t>& frame) {
-  return frame_header_size(frame) == kFrameHeaderSizeV3 ? load_u16(frame, 26) : 0;
-}
+uint32_t frame_trace_id(const std::vector<uint8_t>& frame) { return load_u32(frame, 18); }
+uint32_t frame_span_id(const std::vector<uint8_t>& frame) { return load_u32(frame, 22); }
 
 Switcher::Switcher(mw::Graph* graph, net::WirelessChannel* channel, const SimClock* clock,
                    sim::EnergyMeter* energy, const sim::PowerModel* power,
@@ -213,15 +162,14 @@ void Switcher::send(const mw::TopicName& topic, const mw::NodeName& dst,
   const bool up = src_host == platform::Host::kLgv;
   const uint8_t dir = up ? kDirUplink : kDirDownlink;
   const uint16_t tid = topic_id(topic);
-  const uint64_t key = (static_cast<uint64_t>(session_id_) << 32) |
-                       (static_cast<uint64_t>(dir) << 16) | tid;
+  const uint32_t key = (static_cast<uint32_t>(dir) << 16) | tid;
   // The sender's TraceContext rides the frame header so the receiving host
   // re-enters the same trace on delivery.
   telemetry::TraceContext ctx;
   if (telemetry_ != nullptr) ctx = telemetry_->tracer().current();
   std::vector<uint8_t> frame =
       frame_wrap(dir, tid, next_seq_[key]++, pack_envelope(topic, dst, bytes),
-                 ctx.trace_id, ctx.span_id, session_id_);
+                 ctx.trace_id, ctx.span_id);
   if (up) {
     ++stats_.uplink_messages;
     stats_.uplink_bytes += static_cast<double>(frame.size());
@@ -265,18 +213,7 @@ void Switcher::deliver(const net::Packet& packet) {
     reject_frame(cause, counter);
     return;
   }
-  const size_t header = frame_header_size(b);
-  if (header == kFrameHeaderSizeV1) {
-    // Legacy sender: deliverable, just without trace context.
-    ++stats_.frames_v1;
-    if (telemetry_ != nullptr) {
-      telemetry_->metrics().counter("net_frames_v1_total").inc();
-    }
-  }
-  // The session term keeps each vehicle's stream independently sequenced: in
-  // a fleet, vehicle 2's seq-5 scan must not dedupe against vehicle 1's.
-  const uint64_t key = (static_cast<uint64_t>(frame_session_id(b)) << 32) |
-                       (static_cast<uint64_t>(b[3]) << 16) | load_u16(b, 4);
+  const uint32_t key = (static_cast<uint32_t>(b[3]) << 16) | load_u16(b, 4);
   const uint32_t seq = frame_seq(b);
   const auto seen = last_delivered_seq_.find(key);
   if (seen != last_delivered_seq_.end()) {
@@ -298,9 +235,9 @@ void Switcher::deliver(const net::Packet& packet) {
   }
   // Re-enter the sender's trace for everything this delivery causes: the
   // wire spans below and the subscriber enqueue both parent under the span
-  // that published the message on the other host. A frame without context
-  // (v1, or sent outside a trace) deliberately clears the ambient context so
-  // unrelated work is not stitched in.
+  // that published the message on the other host. A frame sent outside a
+  // trace (0/0) deliberately clears the ambient context so unrelated work is
+  // not stitched in.
   telemetry::Tracer* tracer = telemetry_ != nullptr ? &telemetry_->tracer() : nullptr;
   telemetry::ScopedTraceContext scope(
       tracer, telemetry::TraceContext{frame_trace_id(b), frame_span_id(b)});
@@ -328,7 +265,8 @@ void Switcher::deliver(const net::Packet& packet) {
   // envelope this build can't decode (version skew, message-schema bug);
   // that's a counted drop, never an exception escaping the network stack.
   try {
-    const Envelope e = unpack_envelope(b.data() + header, b.size() - header);
+    const Envelope e =
+        unpack_envelope(b.data() + kFrameHeaderSize, b.size() - kFrameHeaderSize);
     if (e.topic == "__stream__") {
       if (stream_callback_) stream_callback_(packet.send_time, clock_->now());
     } else {
@@ -479,14 +417,13 @@ void Switcher::send_stream_packet() {
   // 48 B velocity message (§III-A) as the fixed-rate measurement stream.
   const std::vector<uint8_t> payload(48, 0);
   const uint16_t tid = topic_id("__stream__");
-  const uint64_t key = (static_cast<uint64_t>(session_id_) << 32) |
-                       (static_cast<uint64_t>(kDirDownlink) << 16) | tid;
+  const uint32_t key = (static_cast<uint32_t>(kDirDownlink) << 16) | tid;
   telemetry::TraceContext ctx;
   if (telemetry_ != nullptr) ctx = telemetry_->tracer().current();
   std::vector<uint8_t> frame =
       frame_wrap(kDirDownlink, tid, next_seq_[key]++,
                  pack_envelope("__stream__", "lgv", payload), ctx.trace_id,
-                 ctx.span_id, session_id_);
+                 ctx.span_id);
   ++stats_.downlink_messages;
   stats_.downlink_bytes += static_cast<double>(frame.size());
   if (downlink_bytes_total_ != nullptr) downlink_bytes_total_->inc(frame.size());

@@ -25,65 +25,35 @@
 namespace lgv::core {
 
 // ---- wire frame (docs/wire-format.md) --------------------------------------
-// Every datagram the Switcher puts on the air is (v3)
+// Every datagram the Switcher puts on the air is
 //   [magic u16][version u8][direction u8][topic_id u16][seq u32]
-//   [payload_len u32][crc32c u32][trace_id u32][span_id u32][session_id u16]
-//   [payload ...]
+//   [payload_len u32][crc32c u32][trace_id u32][span_id u32][payload ...]
 // all little-endian. The trace_id/span_id pair propagates the sender's
-// TraceContext so the receiver's work stitches into the same span DAG; the
-// session_id names the *vehicle* the frame belongs to, so a shared worker
-// serving a fleet sequences each vehicle's stream independently (two
-// vehicles' frames for the same topic must never dedupe against each other).
+// TraceContext so the receiver's work stitches into the same span DAG.
 // The CRC32C covers bytes [0,14) plus everything after the CRC field — i.e.
-// the trace ids, the session id AND the payload — so any bit the channel
-// flips fails the check.
-// Older frames still decode: a v2 frame (26-byte header, no session id)
-// behaves as session 0, and a v1 frame (18-byte header, no trace ids either)
-// additionally carries no trace context and is counted in
-// net_frames_v1_total rather than rejected. frame_wrap emits v2 when
-// session_id == 0, so single-vehicle deployments produce byte-identical
-// frames to the previous build.
+// the trace ids AND the payload — so any bit the channel flips fails the
+// check. There is one layout; any other version byte is rejected.
 inline constexpr uint16_t kFrameMagic = 0x4C57;  ///< "WL" on the wire
-inline constexpr uint8_t kFrameVersion = 3;
-inline constexpr size_t kFrameHeaderSizeV3 = 28;
-inline constexpr size_t kFrameHeaderSize = 26;  ///< v2 (and the session-0 emission)
-inline constexpr size_t kFrameHeaderSizeV1 = 18;
+inline constexpr uint8_t kFrameVersion = 2;
+inline constexpr size_t kFrameHeaderSize = 26;
 
 /// Wrap `payload` in a frame header + CRC, stamping the sender's trace
-/// context (0/0 = no active trace) and session (vehicle) id. session_id == 0
-/// emits a v2 frame (no session field — byte-identical to the previous
-/// format); nonzero emits v3. Exposed for tests and the migration path;
-/// normal traffic goes through Switcher::send.
+/// context (0/0 = no active trace). Exposed for tests and the migration
+/// path; normal traffic goes through Switcher::send.
 std::vector<uint8_t> frame_wrap(uint8_t direction, uint16_t topic_id,
                                 uint32_t seq, const std::vector<uint8_t>& payload,
-                                uint32_t trace_id = 0, uint32_t span_id = 0,
-                                uint16_t session_id = 0);
+                                uint32_t trace_id = 0, uint32_t span_id = 0);
 
-/// Wrap `payload` in a legacy v1 frame (18-byte header, no trace context).
-/// Kept for the backward-compat tests and the wire fuzz harness.
-std::vector<uint8_t> frame_wrap_v1(uint8_t direction, uint16_t topic_id,
-                                   uint32_t seq, const std::vector<uint8_t>& payload);
-
-/// Integrity-check a received frame (any version). Returns nullptr when the
-/// frame is intact, else the rejection cause label ("runt", "bad_magic",
+/// Integrity-check a received frame. Returns nullptr when the frame is
+/// intact, else the rejection cause label ("runt", "bad_magic",
 /// "bad_version", "length_mismatch", "crc") used for
 /// net_frames_rejected_total{cause=...}.
 const char* frame_check(const std::vector<uint8_t>& frame);
 
-/// Read the sequence number of a verified frame.
+/// Sequence number and trace context of a verified frame.
 uint32_t frame_seq(const std::vector<uint8_t>& frame);
-
-/// Header size of a verified frame: kFrameHeaderSizeV1 for v1,
-/// kFrameHeaderSize for v2, kFrameHeaderSizeV3 otherwise. The payload
-/// starts here.
-size_t frame_header_size(const std::vector<uint8_t>& frame);
-
-/// Trace context of a verified frame; both return 0 for v1 frames.
 uint32_t frame_trace_id(const std::vector<uint8_t>& frame);
 uint32_t frame_span_id(const std::vector<uint8_t>& frame);
-
-/// Session (vehicle) id of a verified frame; 0 for v1/v2 frames.
-uint16_t frame_session_id(const std::vector<uint8_t>& frame);
 
 /// Outcome of a chunked state migration over the reliable control link.
 struct MigrationResult {
@@ -118,9 +88,6 @@ struct SwitcherStats {
   uint64_t rejected_crc = 0;
   uint64_t rejected_decode = 0;     ///< envelope/message decode threw
   uint64_t rejected_duplicate = 0;  ///< seq already delivered
-  /// Legacy v1 frames delivered without trace context (counted, not
-  /// rejected) — visibility into a mixed-version fleet.
-  uint64_t frames_v1 = 0;
   /// Valid frame older than the newest delivered on its (topic, direction):
   /// dropped so stale data never overwrites fresh (freshness over
   /// reliability). Counted in msg_stale_dropped_total, not frames_rejected.
@@ -167,13 +134,6 @@ class Switcher final : public mw::RemoteTransport {
   net::UdpLink& downlink() { return downlink_; }
   net::TcpLink& control_link() { return control_; }
 
-  /// Session (vehicle) id stamped on every frame this Switcher sends. 0 (the
-  /// default) keeps the single-vehicle v2 emission; a fleet gives each
-  /// vehicle's Switcher a distinct nonzero id so a shared worker sequences
-  /// the streams independently.
-  void set_session_id(uint16_t id) { session_id_ = id; }
-  uint16_t session_id() const { return session_id_; }
-
   /// Wire the three links' `net_*` metrics ({link=uplink|downlink|control})
   /// plus switcher byte counters, reject counters
   /// (net_frames_rejected_total{cause}, msg_stale_dropped_total with an
@@ -200,12 +160,10 @@ class Switcher final : public mw::RemoteTransport {
   std::function<void(double, double)> stream_callback_;
 
   std::map<std::string, uint16_t> topic_ids_;
-  /// Per (session_id << 32 | direction << 16 | topic_id): next seq to stamp /
-  /// newest delivered. The session term keeps a fleet's streams independent —
-  /// vehicle 2's seq-5 scan must not look like a duplicate of vehicle 1's.
-  std::map<uint64_t, uint32_t> next_seq_;
-  std::map<uint64_t, uint32_t> last_delivered_seq_;
-  uint16_t session_id_ = 0;
+  /// Per (direction << 16 | topic_id): next seq to stamp / newest delivered.
+  /// Every vehicle owns its Switcher, so no two vehicles share these maps.
+  std::map<uint32_t, uint32_t> next_seq_;
+  std::map<uint32_t, uint32_t> last_delivered_seq_;
 
   Rng rng_{0x519a};  ///< drives migration-chunk damage simulation
 

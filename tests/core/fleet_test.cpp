@@ -1,7 +1,7 @@
 // Fleet serving (docs/fleet-serving.md): several MissionRunners driven in
 // lockstep as tenants of ONE shared WorkerPool. Exercises the multi-tenancy
-// seams end to end: per-vehicle seed derivation, session-stamped wire frames
-// crossing one emulated channel, worker admission/backpressure, and the
+// seams end to end: per-vehicle seed derivation, each vehicle's wire frames
+// on its own Switcher, worker admission/backpressure, and the
 // busy → local fallback.
 #include <gtest/gtest.h>
 
@@ -59,8 +59,8 @@ TEST(Fleet, TwoVehiclesShareOneWorkerPool) {
   EXPECT_NE(v0.runtime().worker_session(), v1.runtime().worker_session());
   EXPECT_GT(pool.requests(), 0u);
 
-  // Session-stamped frames: neither vehicle's traffic tripped the other's
-  // duplicate/ordering detection (the v3 sequencing key is per-session).
+  // Neither vehicle's traffic tripped duplicate/ordering detection: each
+  // vehicle owns its Switcher, so their sequence numbers never meet.
   EXPECT_EQ(m0.network.frames_rejected, 0u);
   EXPECT_EQ(m1.network.frames_rejected, 0u);
   EXPECT_GT(m0.network.uplink_messages, 10u);
@@ -95,7 +95,7 @@ TEST(Fleet, UndersizedPoolDegradesToLocalNotFailure) {
 
 TEST(Fleet, StandaloneVehicleUnchangedByFleetFields) {
   // vehicle_index = -1 (the default) must keep the original single-tenant
-  // behavior bit-for-bit: seed used as-is, no session on the wire.
+  // behavior bit-for-bit: seed used as-is.
   MissionConfig cfg;
   cfg.rollout_samples = 200;
   cfg.slam_particles = 10;

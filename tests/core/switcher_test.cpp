@@ -248,7 +248,6 @@ TEST(WireFrame, V2CarriesCrcProtectedTraceContext) {
   const std::vector<uint8_t> frame =
       frame_wrap(0, 2, 3, payload, /*trace_id=*/0xCAFE, /*span_id=*/0xBEEF);
   EXPECT_EQ(frame_check(frame), nullptr);
-  EXPECT_EQ(frame_header_size(frame), kFrameHeaderSize);
   EXPECT_EQ(frame_trace_id(frame), 0xCAFEu);
   EXPECT_EQ(frame_span_id(frame), 0xBEEFu);
 
@@ -259,35 +258,29 @@ TEST(WireFrame, V2CarriesCrcProtectedTraceContext) {
   EXPECT_STREQ(frame_check(flipped), "crc");
 }
 
-TEST(WireFrame, V1FramesStillVerifyWithoutTraceContext) {
-  const std::vector<uint8_t> payload = {1, 2, 3, 4};
-  const std::vector<uint8_t> v1 = frame_wrap_v1(1, 7, 42, payload);
-  EXPECT_EQ(v1.size(), kFrameHeaderSizeV1 + payload.size());
-  EXPECT_EQ(frame_check(v1), nullptr);  // decodes, not rejected
-  EXPECT_EQ(frame_header_size(v1), kFrameHeaderSizeV1);
-  EXPECT_EQ(frame_seq(v1), 42u);
-  EXPECT_EQ(frame_trace_id(v1), 0u);  // no context to propagate
-  EXPECT_EQ(frame_span_id(v1), 0u);
-}
-
 TEST(WireFrame, EveryRejectionCauseDetected) {
   const std::vector<uint8_t> payload(32, 0xAB);
   const std::vector<uint8_t> good = frame_wrap(0, 1, 1, payload);
 
-  std::vector<uint8_t> tiny(4, 0);  // shorter than any header version
+  std::vector<uint8_t> tiny(4, 0);
   EXPECT_STREQ(frame_check(tiny), "runt");
 
-  // Valid magic + v2 version byte but one byte short of the v2 header.
+  // Valid magic and version byte but one byte short of the 26-byte header.
   std::vector<uint8_t> runt(good.begin(), good.begin() + kFrameHeaderSize - 1);
+  ASSERT_EQ(runt.size(), 25u);
   EXPECT_STREQ(frame_check(runt), "runt");
 
   std::vector<uint8_t> magic = good;
   magic[0] ^= 0xFF;
   EXPECT_STREQ(frame_check(magic), "bad_magic");
 
-  std::vector<uint8_t> version = good;
-  version[2] = kFrameVersion + 1;
-  EXPECT_STREQ(frame_check(version), "bad_version");
+  // One layout: the retired v1 (1) and v3 (3) version bytes are rejected
+  // like any other unknown version.
+  for (const uint8_t v : {uint8_t{0}, uint8_t{1}, uint8_t{3}, uint8_t{0xFF}}) {
+    std::vector<uint8_t> version = good;
+    version[2] = v;
+    EXPECT_STREQ(frame_check(version), "bad_version") << "version " << int{v};
+  }
 
   std::vector<uint8_t> truncated = good;
   truncated.resize(truncated.size() - 5);  // header intact, tail gone
@@ -298,32 +291,16 @@ TEST(WireFrame, EveryRejectionCauseDetected) {
   EXPECT_STREQ(frame_check(flipped), "crc");
 }
 
-TEST(WireFrame, V3CarriesSessionIdUnderCrc) {
-  const std::vector<uint8_t> payload = {1, 2, 3};
-  const std::vector<uint8_t> frame =
-      frame_wrap(1, 7, 42, payload, 0xCAFE, 0xBEEF, /*session_id=*/17);
-  EXPECT_EQ(frame.size(), kFrameHeaderSizeV3 + payload.size());
-  EXPECT_EQ(frame_check(frame), nullptr);
-  EXPECT_EQ(frame_header_size(frame), kFrameHeaderSizeV3);
-  EXPECT_EQ(frame_session_id(frame), 17u);
-  EXPECT_EQ(frame_seq(frame), 42u);
-  EXPECT_EQ(frame_trace_id(frame), 0xCAFEu);  // v2 fields ride along
-
-  // The session id is inside the checksum: a flipped session byte is a CRC
-  // reject, never a frame silently delivered to the wrong vehicle's stream.
-  std::vector<uint8_t> flipped = frame;
-  flipped[26] ^= 0x01;  // session_id field
-  EXPECT_STREQ(frame_check(flipped), "crc");
-}
-
-TEST(WireFrame, SessionZeroEmitsByteIdenticalV2) {
-  // Wire compatibility: single-vehicle deployments (session 0) must produce
-  // exactly the frames the previous build produced.
-  const std::vector<uint8_t> payload = {4, 5, 6};
-  const std::vector<uint8_t> frame = frame_wrap(0, 2, 3, payload, 0xA, 0xB);
-  EXPECT_EQ(frame.size(), kFrameHeaderSize + payload.size());
-  EXPECT_EQ(frame[2], 2);  // v2 version byte
-  EXPECT_EQ(frame_session_id(frame), 0u);
+TEST(WireFrame, GoldenFrameBytes) {
+  // Every byte of one frame, pinned: magic "WL", version 2, direction 0,
+  // topic 2, seq 3, payload_len 3, CRC32C, trace_id 0xA, span_id 0xB, then
+  // the payload. Any change to the layout or the checksum shows here.
+  const std::vector<uint8_t> frame = frame_wrap(0, 2, 3, {4, 5, 6}, 0xA, 0xB);
+  const std::vector<uint8_t> golden = {
+      0x57, 0x4C, 0x02, 0x00, 0x02, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0xB7, 0x81, 0xB1, 0xAF, 0x0A, 0x00,
+      0x00, 0x00, 0x0B, 0x00, 0x00, 0x00, 0x04, 0x05, 0x06};
+  EXPECT_EQ(frame, golden);
   EXPECT_EQ(frame_check(frame), nullptr);
 }
 
@@ -373,75 +350,6 @@ TEST_F(SwitcherTest, DuplicateAndStaleSequencesDropped) {
   switcher.downlink().send(frame_wrap(1, 3, 6, env), clock.now());
   pump_until(clock.now() + 0.3);
   EXPECT_EQ(got, 2);
-}
-
-TEST_F(SwitcherTest, SequencingIsPerSessionNotGlobal) {
-  // The fleet-serving bug this PR fixes: two vehicles' streams share one
-  // receiver. Their sequence counters are independent, so the same
-  // (direction, topic, seq) from two *sessions* is two distinct messages —
-  // the dedupe key must include the session id, or vehicle B's traffic is
-  // rejected as vehicle A's duplicates.
-  int got = 0;
-  graph.subscribe<msg::TwistMsg>("lgv_node", "cmd_back",
-                                 [&](const msg::TwistMsg&) { ++got; });
-  const auto env = make_envelope("cmd_back", "lgv_node",
-                                 serialize_to_bytes(msg::TwistMsg{}));
-
-  // Interleave two sessions on the same topic with overlapping seq numbers
-  // (pumping between sends so the emulated link can't reorder the corpus —
-  // per-session ordering is what's under test, not link reordering).
-  for (const auto [seq, session] :
-       {std::pair<uint32_t, uint16_t>{5, 1}, {5, 2}, {6, 1}, {6, 2}}) {
-    switcher.downlink().send(frame_wrap(1, 3, seq, env, 0, 0, session), clock.now());
-    pump_until(clock.now() + 0.3);
-  }
-  EXPECT_EQ(got, 4);
-  EXPECT_EQ(switcher.stats().rejected_duplicate, 0u);
-  EXPECT_EQ(switcher.stats().stale_dropped, 0u);
-
-  // Within one session, dedupe still bites.
-  switcher.downlink().send(frame_wrap(1, 3, 6, env, 0, 0, /*session=*/1), clock.now());
-  pump_until(clock.now() + 0.3);
-  EXPECT_EQ(got, 4);
-  EXPECT_EQ(switcher.stats().rejected_duplicate, 1u);
-}
-
-TEST_F(SwitcherTest, SendStampsConfiguredSessionId) {
-  switcher.set_session_id(9);
-  EXPECT_EQ(switcher.session_id(), 9u);
-  auto pub = graph.advertise<msg::TwistMsg>("lgv_node", "cmd");
-  uint16_t seen_session = 0;
-  graph.subscribe<msg::TwistMsg>("cloud_node", "cmd",
-                                 [&](const msg::TwistMsg&) {});
-  // Capture the frame on the uplink by checking delivered bytes via stats is
-  // indirect; instead wrap what send would produce: the switcher's own
-  // frames must be v3 with session 9. Exercise the full path and rely on
-  // delivery (a mis-keyed or malformed frame would be rejected).
-  pub.publish({});
-  graph.spin();
-  pump_until(0.5);
-  EXPECT_EQ(switcher.stats().uplink_messages, 1u);
-  EXPECT_EQ(switcher.stats().frames_rejected, 0u);
-}
-
-TEST_F(SwitcherTest, V1FramesDeliveredAndCountedNotRejected) {
-  // Backward compatibility: a peer still speaking the pre-trace-context
-  // frame layout interoperates — its frames deliver and are *counted*, so a
-  // fleet rollout can watch the old version drain out of the air.
-  telemetry::Telemetry telemetry;
-  telemetry.set_clock(&clock);
-  switcher.set_telemetry(&telemetry);
-  int got = 0;
-  graph.subscribe<msg::TwistMsg>("lgv_node", "cmd_back",
-                                 [&](const msg::TwistMsg&) { ++got; });
-  const auto env = make_envelope("cmd_back", "lgv_node",
-                                 serialize_to_bytes(msg::TwistMsg{}));
-  switcher.downlink().send(frame_wrap_v1(1, 3, 0, env), clock.now());
-  pump_until(0.5);
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(switcher.stats().frames_v1, 1u);
-  EXPECT_EQ(switcher.stats().frames_rejected, 0u);
-  EXPECT_EQ(telemetry.metrics().counter("net_frames_v1_total").value(), 1u);
 }
 
 TEST_F(SwitcherTest, WireDeliveryStitchesSenderContext) {

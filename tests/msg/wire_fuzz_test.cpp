@@ -180,53 +180,32 @@ TEST(WireFuzz, TimingReportSurvivesMutations) {
   fuzz_type(t, "TimingReport", 0xF00A);
 }
 
-TEST(WireFuzz, FrameHeadersAllVersionsSurviveMutations) {
-  // The integrity frame itself, in every wire layout: the 18-byte v1 header
-  // (no trace context), the 26-byte v2 header (CRC-covered trace ids) and
-  // the 28-byte v3 header (CRC-covered session id). frame_check must
-  // classify every mutation — never crash, never read past the buffer — and
-  // must pass all clean encodings.
+TEST(WireFuzz, FrameHeaderSurvivesMutations) {
+  // The integrity frame itself: the 26-byte header with its CRC-covered
+  // trace ids. frame_check must classify every mutation — never crash, never
+  // read past the buffer — and must pass the clean encoding.
   const std::vector<uint8_t> payload = serialize_to_bytes(make_scan());
-  const std::vector<uint8_t> v3 = core::frame_wrap(
-      0, 5, 1234, payload, /*trace_id=*/77, /*span_id=*/3010, /*session_id=*/42);
-  const std::vector<uint8_t> v2 =
+  const std::vector<uint8_t> clean =
       core::frame_wrap(0, 5, 1234, payload, /*trace_id=*/77, /*span_id=*/3010);
-  const std::vector<uint8_t> v1 = core::frame_wrap_v1(0, 5, 1234, payload);
-  ASSERT_EQ(core::frame_check(v3), nullptr);
-  ASSERT_EQ(core::frame_check(v2), nullptr);
-  ASSERT_EQ(core::frame_check(v1), nullptr);
-  ASSERT_EQ(core::frame_session_id(v3), 42u);
+  ASSERT_EQ(core::frame_check(clean), nullptr);
 
   Rng rng(0xF00C);
   int rejected = 0;
-  int accepted = 0;
-  for (const std::vector<uint8_t>* clean : {&v3, &v2, &v1}) {
-    for (const Mutation m :
-         {Mutation::kBitFlips, Mutation::kTruncate, Mutation::kSplice}) {
-      for (int iter = 0; iter < kItersPerMutation; ++iter) {
-        const std::vector<uint8_t> buf = mutate(*clean, m, rng);
-        if (core::frame_check(buf) != nullptr) {
-          ++rejected;
-          continue;
-        }
-        ++accepted;
-        // A frame that still verifies must expose a consistent header view.
-        const size_t header = core::frame_header_size(buf);
-        ASSERT_TRUE(header == core::kFrameHeaderSizeV3 ||
-                    header == core::kFrameHeaderSize ||
-                    header == core::kFrameHeaderSizeV1);
-        ASSERT_LE(header, buf.size());
-        (void)core::frame_trace_id(buf);
-        (void)core::frame_span_id(buf);
-        (void)core::frame_session_id(buf);
-        (void)core::frame_seq(buf);
+  for (const Mutation m : {Mutation::kBitFlips, Mutation::kTruncate, Mutation::kSplice}) {
+    for (int iter = 0; iter < kItersPerMutation; ++iter) {
+      const std::vector<uint8_t> buf = mutate(clean, m, rng);
+      if (core::frame_check(buf) != nullptr) {
+        ++rejected;
+        continue;
       }
+      // A frame that still verifies must expose a consistent header view.
+      ASSERT_GE(buf.size(), core::kFrameHeaderSize);
+      (void)core::frame_trace_id(buf);
+      (void)core::frame_span_id(buf);
+      (void)core::frame_seq(buf);
     }
   }
   EXPECT_GT(rejected, 0) << "frame corpus never hit a reject path";
-  // The CRC should make surviving mutations rare but truncate-to-original
-  // no-op mutations exist, so just require the counters to be sane.
-  EXPECT_GE(accepted, 0);
 }
 
 TEST(WireFuzz, PureGarbageNeverCrashesAnyDecoder) {

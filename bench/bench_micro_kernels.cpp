@@ -150,6 +150,30 @@ void BM_CostmapUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_CostmapUpdate);
 
+// The exploration map → costmap edge: integrate one scan of a lab tour into a
+// 0.1 m SLAM-style map, then load the map's message into the static layer.
+// Only set_static_map is timed.
+void BM_CostmapStaticMap(benchmark::State& state) {
+  Fixture& fx = fixture();
+  const auto log = sim::record_scan_log(fx.scenario, 0.4, 0.2, 40);
+  perception::OccupancyGrid map(fx.scenario.world.frame().origin, fx.scenario.world.width_m(),
+                                fx.scenario.world.height_m());
+  perception::Costmap2D costmap(fx.scenario.world.frame().origin, fx.scenario.world.width_m(),
+                                fx.scenario.world.height_m());
+  size_t i = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const sim::ScanLogEntry& e = log[i++ % log.size()];
+    map.integrate_scan(e.true_pose, e.scan);
+    const msg::OccupancyGridMsg m = map.to_msg(0.0);
+    state.ResumeTiming();
+    costmap.set_static_map(m);
+    benchmark::DoNotOptimize(costmap.static_layer().data().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CostmapStaticMap);
+
 // Inflation alone: one full inflate() over the lab's static layer.
 void BM_CostmapInflate(benchmark::State& state) {
   Fixture& fx = fixture();

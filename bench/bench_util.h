@@ -88,11 +88,18 @@ inline std::string fmt(double v, int precision = 2) {
 ///   {"bench": "<name>", "runs": {"<label>": {<series...>}, ...}}
 /// Each run object is the telemetry::write_metrics_json format, so the same
 /// offline tooling reads mission `_metrics.json` files and bench sidecars.
+/// The sidecar holds virtual-clock series only, so two runs of one commit
+/// write the same bytes: the thread pool's wall-clock families are dropped
+/// (mission `_metrics.json` files keep them).
 class TelemetrySidecar {
  public:
   explicit TelemetrySidecar(std::string bench_name) : name_(std::move(bench_name)) {}
 
   void add(std::string run_label, telemetry::MetricsSnapshot snapshot) {
+    std::erase_if(snapshot.samples, [](const telemetry::MetricSample& s) {
+      return s.name == "pool_task_wait_us" || s.name == "pool_task_run_us" ||
+             s.name == "pool_busy_us_total";
+    });
     runs_.emplace_back(std::move(run_label), std::move(snapshot));
   }
 

@@ -37,21 +37,51 @@ bool Costmap2D::is_traversable(CellIndex c) const {
 }
 
 void Costmap2D::set_static_map(const msg::OccupancyGridMsg& map) {
-  // Resample the incoming map into this costmap's frame.
-  for (int y = 0; y < cost_.height(); ++y) {
-    for (int x = 0; x < cost_.width(); ++x) {
-      const Point2D w = frame_.cell_to_world({x, y});
-      const CellIndex src = map.frame.world_to_cell(w);
-      uint8_t v = config_.track_unknown ? kCostNoInformation : kCostFreeSpace;
-      if (src.x >= 0 && src.x < map.width && src.y >= 0 && src.y < map.height) {
-        const int8_t occ = map.at(src.x, src.y);
-        if (occ >= 65) {
-          v = kCostLethal;
-        } else if (occ >= 0) {
-          v = kCostFreeSpace;
+  const uint8_t fill = config_.track_unknown ? kCostNoInformation : kCostFreeSpace;
+  if (map.frame != static_source_frame_ || map.width != static_source_width_ ||
+      map.height != static_source_height_) {
+    // GridFrame converts each axis on its own, so a costmap column (row)
+    // resamples from one source column (row) whatever the other coordinate.
+    const auto spans = [](int cells, int src_cells, auto src_of) {
+      std::vector<SourceSpan> out;
+      for (int i = 0; i < cells; ++i) {
+        const int src = src_of(i);
+        if (src < 0 || src >= src_cells) continue;
+        if (!out.empty() && out.back().src == src && out.back().end == i) {
+          ++out.back().end;
+        } else {
+          out.push_back({src, i, i + 1});
         }
       }
-      static_layer_.at(x, y) = v;
+      return out;
+    };
+    static_cols_ = spans(cost_.width(), map.width, [&](int x) {
+      return map.frame.world_to_cell(frame_.cell_to_world({x, 0})).x;
+    });
+    static_rows_ = spans(cost_.height(), map.height, [&](int y) {
+      return map.frame.world_to_cell(frame_.cell_to_world({0, y})).y;
+    });
+    static_source_frame_ = map.frame;
+    static_source_width_ = map.width;
+    static_source_height_ = map.height;
+    // Cells outside every span see no source cell; the loop below sets the
+    // rest, since each span's cells start at the fill.
+    static_layer_.fill(fill);
+  }
+  // Every cell of a span rectangle holds its one source cell's class, so one
+  // representative cell tells whether the rectangle must be rewritten.
+  const int w = cost_.width();
+  uint8_t* const layer = static_layer_.data().data();
+  for (const SourceSpan& row : static_rows_) {
+    const int8_t* const src_row = map.data.data() + static_cast<size_t>(row.src) * map.width;
+    for (const SourceSpan& col : static_cols_) {
+      const int8_t occ = src_row[col.src];
+      const uint8_t v = occ >= 65 ? kCostLethal : occ >= 0 ? kCostFreeSpace : fill;
+      if (layer[static_cast<size_t>(row.begin) * w + col.begin] == v) continue;
+      for (int y = row.begin; y < row.end; ++y) {
+        std::memset(layer + static_cast<size_t>(y) * w + col.begin, v,
+                    static_cast<size_t>(col.end - col.begin));
+      }
     }
   }
 }

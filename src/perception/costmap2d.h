@@ -78,11 +78,16 @@ class Costmap2D {
   /// Combined + inflated master grid; raw view for vectorized probe loops
   /// (off-grid probes must yield kCostLethal, matching cost_at).
   const Grid<uint8_t>& master() const { return cost_; }
+  const Grid<uint8_t>& static_layer() const { return static_layer_; }
   bool is_lethal(CellIndex c) const { return cost_at(c) >= kCostInscribed; }
   /// Traversable for planning: known and below the inscribed threshold.
   bool is_traversable(CellIndex c) const;
 
-  /// Load the static layer from a SLAM map / ground-truth map message.
+  /// Load the static layer from a SLAM map / ground-truth map message. Each
+  /// cell takes the class (lethal, free, or the unknown fill) of the one
+  /// source cell its centre falls in. The first map of a given frame and size
+  /// resamples every cell; a later one rewrites only the cells whose source
+  /// cell changed class, with the same result.
   void set_static_map(const msg::OccupancyGridMsg& map);
 
   /// Obstacle layer + inflation update from one scan at `pose`.
@@ -101,9 +106,23 @@ class Costmap2D {
                       CostmapUpdateStats& stats);
   uint8_t inflation_cost(double distance_m) const;
 
+  /// Costmap columns (or rows) [begin, end) that resample from source
+  /// column (row) `src`.
+  struct SourceSpan {
+    int src;
+    int begin;
+    int end;
+  };
+
   GridFrame frame_;
   CostmapConfig config_;
   Grid<uint8_t> static_layer_;   ///< kCostLethal / kCostFreeSpace / kCostNoInformation
+  /// The source frame and size static_cols_ / static_rows_ were built for.
+  GridFrame static_source_frame_;
+  int static_source_width_ = -1;
+  int static_source_height_ = -1;
+  std::vector<SourceSpan> static_cols_;
+  std::vector<SourceSpan> static_rows_;
   /// kCostLethal where lidar currently sees obstacles, kCostFreeSpace where a
   /// beam has raytraced through, kCostNoInformation where never observed.
   Grid<uint8_t> obstacle_layer_;

@@ -165,7 +165,9 @@ void Gmapping::resample() {
       ++i;
       cumulative += weights_[i];
     }
-    Particle copy = particles_[i];  // deep copy incl. the map
+    // O(1): the map, its changelog and the likelihood field share
+    // copy-on-write blocks until one of the copies writes.
+    Particle copy = particles_[i];
     copy.rng = rng_.fork(k + 0x7e5a);
     next.push_back(std::move(copy));
     next_poses.push_back(poses_.at(i));

@@ -25,12 +25,12 @@
 //
 // Invalidation: OccupancyGrid logs every cell whose occupied/unknown
 // classification flips (see its change-tracking API). sync() consumes that
-// log and rebuilds only the flipped cells' 3×3 neighborhoods; it falls back
-// to a full rebuild when the log overflowed or the field was built against a
-// different map (different map_id). The field is derived state: it is copied
-// alongside its particle's map during RBPF resampling (staying consistent by
-// construction) and is never serialized — after Algorithm 2 state migration
-// it rebuilds on first use.
+// log and updates only the flipped cells' bits in their 3×3 neighborhoods;
+// it falls back to a full rebuild when the log overflowed or the field was
+// built against a different map (different map_id). The field is derived
+// state: it is copied alongside its particle's map during RBPF resampling
+// (staying consistent by construction) and is never serialized — after
+// Algorithm 2 state migration it rebuilds on first use.
 #pragma once
 
 #include <cstdint>

@@ -147,14 +147,19 @@ void OccupancyGrid::touch_tile(CellIndex c) {
   }
 }
 
+float OccupancyGrid::next_log_odds(float old, double delta) const {
+  const float next = static_cast<float>(std::clamp(
+      static_cast<double>(old) + delta, config_.log_odds_min, config_.log_odds_max));
+  if (next == 0.0f) return delta < 0 ? -1e-3f : 1e-3f;  // stay "known"
+  return next;
+}
+
 void OccupancyGrid::update_cell(CellIndex c, double delta) {
   if (!log_odds_.in_bounds(c)) return;
   const float old = log_odds_.at(c);
   const bool was_unknown = old == 0.0f;
   const bool was_occupied = occupied_log_odds(old);
-  float next = static_cast<float>(std::clamp(static_cast<double>(old) + delta,
-                                             config_.log_odds_min, config_.log_odds_max));
-  if (next == 0.0f) next = delta < 0 ? -1e-3f : 1e-3f;  // stay "known"
+  const float next = next_log_odds(old, delta);
   // Saturated cells re-observed with the same evidence land on the same
   // clamped value; skipping the write keeps a CoW-shared block shared.
   if (same_bits(next, old)) return;
@@ -168,6 +173,16 @@ size_t OccupancyGrid::integrate_scan(const Pose2D& pose, const msg::LaserScan& s
   begin_mutation_batch();
   size_t touched = 0;
   const CellIndex origin_cell = frame_.world_to_cell(pose.position());
+  // Most cells a beam crosses are free and already at the floor. When the
+  // floor is a fixed point of a miss, update_cell leaves such a cell exactly
+  // as it is, so the walk skips it without evaluating the clamp.
+  const double miss = config_.log_odds_miss;
+  const float floor = next_log_odds(static_cast<float>(config_.log_odds_min), miss);
+  const bool floor_is_fixed = same_bits(next_log_odds(floor, miss), floor);
+  const auto miss_cell = [&](CellIndex c) {
+    if (floor_is_fixed && log_odds_.in_bounds(c) && same_bits(log_odds_.at(c), floor)) return;
+    update_cell(c, miss);
+  };
   for (size_t i = 0; i < scan.ranges.size(); ++i) {
     const double r = static_cast<double>(scan.ranges[i]);
     const bool hit = r <= scan.range_max;
@@ -178,7 +193,7 @@ size_t OccupancyGrid::integrate_scan(const Pose2D& pose, const msg::LaserScan& s
     // Free space along the beam (excluding the endpoint when it is a hit;
     // the walk visits end_cell exactly once, last).
     touched += for_each_line_cell(origin_cell, end_cell, [&](CellIndex c) {
-      if (!hit || c != end_cell) update_cell(c, config_.log_odds_miss);
+      if (!hit || c != end_cell) miss_cell(c);
     });
     if (hit) update_cell(end_cell, config_.log_odds_hit);
   }

@@ -171,6 +171,8 @@ class OccupancyGrid {
 
  private:
   void update_cell(CellIndex c, double delta);
+  /// The value update_cell writes for a cell at `old` given evidence `delta`.
+  float next_log_odds(float old, double delta) const;
   /// Cache the classification thresholds in log-odds space and stamp a fresh
   /// map identity. Called by every construction path.
   void init_derived_state();

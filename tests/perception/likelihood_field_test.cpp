@@ -186,6 +186,76 @@ TEST(LikelihoodField, IncrementalSyncEqualsFullRebuild) {
   EXPECT_EQ(incremental.sync(*fx.map), 0u);
 }
 
+TEST(LikelihoodField, SyncChargesNinePerConsumedEntry) {
+  RandomMapFixture fx(37);
+  LikelihoodField field;
+  field.sync(*fx.map);
+  int incremental = 0;
+  for (int step = 0; step < 8; ++step) {
+    const uint64_t before = fx.map->change_version();
+    const Pose2D p = fx.random_free_pose();
+    fx.map->integrate_scan(p, fx.lidar->scan(*fx.world, p, 0.0));
+    if (fx.map->changelog_base() > before) {
+      field.sync(*fx.map);  // the changelog overflowed: a full rebuild
+      continue;
+    }
+    EXPECT_EQ(field.sync(*fx.map), 9 * (fx.map->change_version() - before)) << "step " << step;
+    ++incremental;
+  }
+  EXPECT_GT(incremental, 0);
+}
+
+// Single-beam scans flip chosen cells: a hit raises the endpoint towards
+// occupied, a no-return beam ending there lowers it towards free.
+TEST(LikelihoodField, IncrementalEqualsFreshBuildAfterRandomFlips) {
+  OccupancyGridConfig cfg;
+  cfg.resolution = 0.1;
+  OccupancyGrid map({0.0, 0.0}, 3.0, 2.0, cfg);
+  const int w = map.width(), h = map.height();
+  LikelihoodField field;
+  field.sync(map);
+  Rng rng(0xf11b);
+  auto beam = [&](CellIndex target, bool hit) {
+    const CellIndex from{rng.uniform_int(3, w - 4), rng.uniform_int(3, h - 4)};
+    const Point2D a = map.frame().cell_to_world(from);
+    const Point2D b = map.frame().cell_to_world(target);
+    msg::LaserScan s;
+    s.range_min = 0.0;
+    s.range_max = distance(a, b);
+    s.ranges = {static_cast<float>(hit ? s.range_max * 0.999 : s.range_max + 1.0)};
+    map.integrate_scan({a.x, a.y, std::atan2(b.y - a.y, b.x - a.x)}, s);
+  };
+  const CellIndex corner{0, h - 1};
+  for (int step = 0; step < 300; ++step) {
+    CellIndex target;
+    if (step % 3 == 0) {
+      target = corner;  // the same edge cell, flipped over and over
+    } else if (step % 3 == 1) {
+      // Anywhere on the map's border, whose bits also sit in the pad ring.
+      const int k = rng.uniform_int(0, 2 * (w + h) - 5);
+      target = k < w ? CellIndex{k, 0}
+             : k < 2 * w ? CellIndex{k - w, h - 1}
+             : k < 2 * w + h - 2 ? CellIndex{0, k - 2 * w + 1}
+                                 : CellIndex{w - 1, k - 2 * w - h + 3};
+    } else {
+      target = {rng.uniform_int(0, w - 1), rng.uniform_int(0, h - 1)};
+    }
+    const uint64_t before = map.change_version();
+    beam(target, rng.uniform(0.0, 1.0) < (step % 3 == 0 ? 0.5 : 0.4));
+    ASSERT_LE(map.changelog_base(), before);
+    ASSERT_EQ(field.sync(map), 9 * (map.change_version() - before)) << "step " << step;
+    LikelihoodField fresh;
+    fresh.sync(map);
+    for (int y = -2; y <= h + 1; ++y) {
+      for (int x = -2; x <= w + 1; ++x) {
+        ASSERT_EQ(field.entry({x, y}), fresh.entry({x, y}))
+            << "step " << step << " cell " << x << "," << y;
+      }
+    }
+  }
+  EXPECT_GT(map.change_version(), 300u);
+}
+
 TEST(LikelihoodField, ChangelogOverflowFallsBackToFullRebuild) {
   RandomMapFixture fx(31);
   LikelihoodField field;

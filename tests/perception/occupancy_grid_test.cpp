@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "sim/lidar.h"
+#include "sim/scenario.h"
 #include "sim/world.h"
 
 namespace lgv::perception {
@@ -169,6 +177,140 @@ TEST(OccupancyGrid, DirtyTilesTrackMutations) {
   EXPECT_GT(dirty, 0u);
   EXPECT_LT(dirty, g.tile_count());  // a single beam touches few tiles
 }
+
+// integrate_scan as a plain loop over update_cell, with the grid's state
+// (cells, known count, classification changelog, the batch that last
+// changed each tile) kept in plain containers.
+struct RefGrid {
+  RefGrid(const GridFrame& frame, int width, int height, const OccupancyGridConfig& config)
+      : frame(frame),
+        width(width),
+        height(height),
+        config(config),
+        occupied_lo(std::log(config.occupied_threshold / (1.0 - config.occupied_threshold))),
+        cells(static_cast<size_t>(width) * height, 0.0f),
+        tile_batch(static_cast<size_t>((width + 15) / 16) * ((height + 15) / 16), -1) {}
+
+  void update_cell(CellIndex c, double delta) {
+    if (c.x < 0 || c.x >= width || c.y < 0 || c.y >= height) return;
+    float& cell = cells[static_cast<size_t>(c.y) * width + c.x];
+    const float old = cell;
+    float next = static_cast<float>(
+        std::clamp(static_cast<double>(old) + delta, config.log_odds_min, config.log_odds_max));
+    if (next == 0.0f) next = delta < 0 ? -1e-3f : 1e-3f;
+    if (std::memcmp(&next, &old, sizeof(float)) == 0) return;
+    cell = next;
+    tile_batch[static_cast<size_t>(c.y / 16) * ((width + 15) / 16) + c.x / 16] = batch;
+    if (old == 0.0f) ++known;
+    if (old == 0.0f || (old > occupied_lo) != (next > occupied_lo)) log.push_back(c);
+  }
+
+  size_t integrate_scan(const Pose2D& pose, const msg::LaserScan& scan) {
+    ++batch;
+    size_t touched = 0;
+    const CellIndex origin_cell = frame.world_to_cell(pose.position());
+    for (size_t i = 0; i < scan.ranges.size(); ++i) {
+      const double r = static_cast<double>(scan.ranges[i]);
+      const bool hit = r <= scan.range_max;
+      const double reach = hit ? r : scan.range_max;
+      const double angle = pose.theta + scan.angle_of(i);
+      const Point2D end{pose.x + std::cos(angle) * reach, pose.y + std::sin(angle) * reach};
+      const CellIndex end_cell = frame.world_to_cell(end);
+      touched += for_each_line_cell(origin_cell, end_cell, [&](CellIndex c) {
+        if (!hit || c != end_cell) update_cell(c, config.log_odds_miss);
+      });
+      if (hit) update_cell(end_cell, config.log_odds_hit);
+    }
+    return touched;
+  }
+
+  GridFrame frame;
+  int width, height;
+  OccupancyGridConfig config;
+  double occupied_lo;
+  std::vector<float> cells;
+  std::vector<int> tile_batch;  ///< last batch that changed a cell of the tile
+  std::vector<CellIndex> log;
+  size_t known = 0;
+  int batch = -1;
+};
+
+struct IntegrateCase {
+  std::string name;
+  OccupancyGridConfig config;
+};
+
+void PrintTo(const IntegrateCase& c, std::ostream* os) { *os << c.name; }
+
+class IntegrateScanReference : public ::testing::TestWithParam<IntegrateCase> {};
+
+TEST_P(IntegrateScanReference, MatchesPlainLoop) {
+  const OccupancyGridConfig cfg = GetParam().config;
+  const sim::Scenario sc = sim::make_lab_scenario();
+  OccupancyGrid g(sc.world.frame().origin, sc.world.width_m(), sc.world.height_m(), cfg);
+  RefGrid ref(g.frame(), g.width(), g.height(), cfg);
+  sim::Lidar lidar({}, 0x1a7e);
+
+  std::vector<uint64_t> batch_versions;  // write_version after each batch
+  for (size_t wp = 0; wp < 6; ++wp) {
+    const Point2D at = sc.waypoints[wp % sc.waypoints.size()];
+    // Re-observing one pose drives its free cells down to the floor.
+    for (int repeat = 0; repeat < 12; ++repeat) {
+      const Pose2D pose{at.x, at.y, 0.3 * repeat};
+      const msg::LaserScan scan = lidar.scan(sc.world, pose, 0.1 * repeat);
+      const std::string when = "waypoint " + std::to_string(wp) + " repeat " +
+                               std::to_string(repeat);
+      ASSERT_EQ(g.integrate_scan(pose, scan), ref.integrate_scan(pose, scan)) << when;
+      batch_versions.push_back(g.write_version());
+
+      for (int y = 0; y < g.height(); ++y) {
+        for (int x = 0; x < g.width(); ++x) {
+          const float got = static_cast<float>(g.log_odds_at({x, y}));
+          const float want = ref.cells[static_cast<size_t>(y) * g.width() + x];
+          ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+              << when << ": cell (" << x << ", " << y << ") " << got << " vs " << want;
+        }
+      }
+      ASSERT_EQ(g.known_cells(), ref.known) << when;
+      // The changelog keeps a suffix of the flips (it restarts on overflow).
+      ASSERT_EQ(g.change_version(), ref.log.size()) << when;
+      const std::vector<CellIndex> kept(ref.log.begin() + g.changelog_base(), ref.log.end());
+      ASSERT_EQ(g.changelog(), kept) << when;
+      // Tiles written after batch j are exactly those a later batch changed.
+      for (int j = -1; j <= ref.batch; ++j) {
+        const uint64_t base = j < 0 ? 0 : batch_versions[j];
+        const auto later = std::count_if(ref.tile_batch.begin(), ref.tile_batch.end(),
+                                         [&](int b) { return b > j; });
+        ASSERT_EQ(g.dirty_tiles_since(base), static_cast<size_t>(later))
+            << when << ", since batch " << j;
+      }
+    }
+  }
+  const float floor = static_cast<float>(cfg.log_odds_min);
+  EXPECT_GT(std::count(ref.cells.begin(), ref.cells.end(), floor), 0);
+}
+
+std::vector<IntegrateCase> integrate_cases() {
+  std::vector<IntegrateCase> cases;
+  cases.push_back({"defaults", {}});
+  OccupancyGridConfig odd;  // floor and ceiling not representable as floats
+  odd.log_odds_min = -4.05;
+  odd.log_odds_max = 3.3;
+  odd.log_odds_miss = -0.7;
+  cases.push_back({"inexact_floor", odd});
+  OccupancyGridConfig shallow;  // a floor one miss below the free threshold
+  shallow.log_odds_min = -0.3;
+  shallow.log_odds_miss = -0.25;
+  cases.push_back({"shallow_floor", shallow});
+  OccupancyGridConfig inverted;  // hits lower, misses raise: no fixed floor
+  inverted.log_odds_hit = -0.9;
+  inverted.log_odds_miss = 0.3;
+  cases.push_back({"inverted", inverted});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, IntegrateScanReference, ::testing::ValuesIn(integrate_cases()),
+                         [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace lgv::perception

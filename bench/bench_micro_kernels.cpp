@@ -8,9 +8,9 @@
 // `--wallclock-json` switches to a self-contained A/B harness that times the
 // two hand-vectorized kernels (scanMatch score, trajectory-rollout scoring)
 // scalar-vs-SIMD with median-of-N steady-clock runs and writes
-// BENCH_kernel_wallclock.json (consumed by tools/run_kernel_bench.sh and the
-// CI kernel-bench job). Without the flag it is a normal google-benchmark
-// binary.
+// BENCH_kernel_wallclock.json (validated and gated by
+// tools/check_bench_regression; tools/run_kernel_bench.sh runs it locally).
+// Without the flag it is a normal google-benchmark binary.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -29,6 +29,7 @@
 #include "perception/likelihood_field.h"
 #include "perception/scan_matcher.h"
 #include "planning/grid_search.h"
+#include "ref_scan_scorer.h"
 #include "sim/lidar.h"
 #include "sim/scenario.h"
 
@@ -63,9 +64,12 @@ Fixture& fixture() {
   return fx;
 }
 
+// BM_ScanMatchScore and BM_ScanMatchRefine time the brute-force reference
+// scorer (tests/perception/ref_scan_scorer.h); their …Cached twins time the
+// likelihood-field path missions run. The gate compares each pair's ratio.
 void BM_ScanMatchScore(benchmark::State& state) {
   Fixture& fx = fixture();
-  perception::ScanMatcher matcher;
+  const perception::RefScanMatcher matcher;
   size_t evals = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -93,7 +97,7 @@ BENCHMARK(BM_ScanMatchScoreCached);
 
 void BM_ScanMatchRefine(benchmark::State& state) {
   Fixture& fx = fixture();
-  perception::ScanMatcher matcher;
+  const perception::RefScanMatcher matcher;
   const Pose2D perturbed{fx.scenario.start.x + 0.08, fx.scenario.start.y - 0.05,
                          fx.scenario.start.theta + 0.04};
   for (auto _ : state) {
@@ -124,16 +128,32 @@ void BM_LikelihoodFieldFullBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_LikelihoodFieldFullBuild);
 
+// One SLAM-style cycle along a lab tour: integrate the next scan into a
+// fresh-at-tour-start 0.1 m map, then catch the field up through the
+// changelog. Only the sync is timed; each pass of the tour starts from an
+// empty map so every scan flips real cells.
 void BM_LikelihoodFieldIncrementalSync(benchmark::State& state) {
-  // One SLAM-style cycle: integrate a scan into the map, then catch the
-  // field up through the changelog (the steady-state per-update cost).
   Fixture& fx = fixture();
-  perception::OccupancyGrid map = fx.map;
+  const auto log = sim::record_scan_log(fx.scenario, 0.4, 0.2, 40);
+  const auto fresh_map = [&] {
+    return perception::OccupancyGrid(fx.scenario.world.frame().origin,
+                                     fx.scenario.world.width_m(),
+                                     fx.scenario.world.height_m());
+  };
+  perception::OccupancyGrid map = fresh_map();
   perception::LikelihoodField field;
-  field.sync(map);
   size_t rebuilt = 0;
+  size_t i = 0;
   for (auto _ : state) {
-    map.integrate_scan(fx.scenario.start, fx.scan);
+    state.PauseTiming();
+    if (i % log.size() == 0) {
+      map = fresh_map();
+      field = perception::LikelihoodField();
+      field.sync(map);
+    }
+    const sim::ScanLogEntry& e = log[i++ % log.size()];
+    map.integrate_scan(e.true_pose, e.scan);
+    state.ResumeTiming();
     rebuilt += field.sync(map);
   }
   state.counters["cells_rebuilt"] =
@@ -223,21 +243,38 @@ void BM_AStarPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_AStarPlan);
 
+// Steady-state SLAM: one filter, warmed up on the first scans of a lab tour
+// outside the timed loop; each iteration is one process() call on the rest
+// of the tour. When the tour runs out the filter restarts from its warmed-up
+// copy (untimed).
 void BM_GmappingUpdate(benchmark::State& state) {
   perception::GmappingConfig cfg;
   cfg.particles = static_cast<int>(state.range(0));
-  const auto log = sim::record_scan_log(fixture().scenario, 0.4, 0.2, 6);
+  const auto log = sim::record_scan_log(fixture().scenario, 0.4, 0.2, 120);
+  const size_t warmup = log.size() / 3;
+  perception::Gmapping slam(cfg, {0, 0}, 12.0, 10.0, 3);
+  slam.initialize(log[0].odom_pose);
+  platform::ExecutionContext ctx;
+  const auto process = [&](const sim::ScanLogEntry& e) {
+    msg::Odometry odom;
+    odom.pose = e.odom_pose;
+    slam.process(odom, e.scan, ctx);
+    ctx.reset();
+  };
+  for (size_t i = 0; i < warmup; ++i) process(log[i]);
+  const perception::Gmapping warm = slam;
+  size_t i = warmup;
   for (auto _ : state) {
-    perception::Gmapping slam(cfg, {0, 0}, 12.0, 10.0, 3);
-    slam.initialize(log[0].odom_pose);
-    platform::ExecutionContext ctx;
-    for (const auto& e : log) {
-      msg::Odometry odom;
-      odom.pose = e.odom_pose;
-      slam.process(odom, e.scan, ctx);
+    if (i == log.size()) {
+      state.PauseTiming();
+      slam = warm;
+      i = warmup;
+      state.ResumeTiming();
     }
+    process(log[i++]);
     benchmark::DoNotOptimize(slam.best_pose());
   }
+  state.counters["scans"] = static_cast<double>(log.size() - warmup);
 }
 BENCHMARK(BM_GmappingUpdate)->Arg(10)->Arg(30);
 
@@ -277,6 +314,12 @@ struct WallKernelResult {
   bool agree = false;
 };
 
+/// Pins the dispatch level for one scope (one leg of an A/B timing).
+struct ForcedLevel {
+  explicit ForcedLevel(simd::Level level) { simd::force_level(level); }
+  ~ForcedLevel() { simd::clear_forced_level(); }
+};
+
 /// scanMatch score loop: scalar reference vs the staged SIMD pipeline, pinned
 /// via simd::force_level. The projection contract makes the two bit-identical,
 /// so the checksum must match exactly.
@@ -295,7 +338,7 @@ WallKernelResult wallclock_scan_match(int runs, int iters) {
                   fx.scenario.start.theta + 0.005 * (i % 9)};
   };
   const auto leg = [&](simd::Level level, double* checksum) {
-    simd::force_level(level);
+    const ForcedLevel pin(level);
     const double s = lgv::bench::time_median(runs, [&] {
       double sum = 0.0;
       for (int i = 0; i < iters; ++i) {
@@ -304,7 +347,6 @@ WallKernelResult wallclock_scan_match(int runs, int iters) {
       benchmark::DoNotOptimize(sum);
       *checksum = sum;
     });
-    simd::clear_forced_level();
     return s * 1e9 / iters;
   };
   WallKernelResult r;
@@ -319,17 +361,16 @@ WallKernelResult wallclock_scan_match(int runs, int iters) {
   return r;
 }
 
-/// Trajectory-rollout scoring: the scalar per-candidate loop (use_simd=false)
-/// vs the vectorized forward simulation. Positions agree to rounding only
-/// (rotation recurrence), so the decision checksum gets an epsilon.
+/// Trajectory-rollout scoring: the scalar per-candidate loop vs the
+/// vectorized forward simulation, pinned via simd::force_level. Positions
+/// agree to rounding only (rotation recurrence), so the decision checksum
+/// gets an epsilon.
 WallKernelResult wallclock_score_trajectory(int runs, int iters) {
   Fixture& fx = fixture();
-  control::RolloutConfig scalar_cfg;
-  scalar_cfg.samples = 2000;
-  scalar_cfg.use_simd = false;
-  control::RolloutConfig simd_cfg = scalar_cfg;
-  simd_cfg.use_simd = true;
-  const auto leg = [&](const control::RolloutConfig& cfg, double* checksum) {
+  control::RolloutConfig cfg;
+  cfg.samples = 2000;
+  const auto leg = [&](simd::Level level, double* checksum) {
+    const ForcedLevel pin(level);
     control::TrajectoryRollout rollout(cfg);
     platform::ExecutionContext ctx;
     const double s = lgv::bench::time_median(runs, [&] {
@@ -349,8 +390,8 @@ WallKernelResult wallclock_score_trajectory(int runs, int iters) {
   r.name = "score_trajectory";
   r.iters = iters;
   double scalar_sum = 0.0, simd_sum = 0.0;
-  r.scalar_ns = leg(scalar_cfg, &scalar_sum);
-  r.simd_ns = leg(simd_cfg, &simd_sum);
+  r.scalar_ns = leg(simd::Level::kScalar, &scalar_sum);
+  r.simd_ns = leg(simd::detected_level(), &simd_sum);
   r.speedup = r.simd_ns > 0.0 ? r.scalar_ns / r.simd_ns : 0.0;
   r.rel_err = std::abs(scalar_sum - simd_sum) / std::max(1.0, std::abs(scalar_sum));
   r.agree = r.rel_err <= 1e-6;

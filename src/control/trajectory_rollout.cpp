@@ -117,9 +117,14 @@ RolloutDecision TrajectoryRollout::compute(const perception::Costmap2D& costmap,
   const platform::Schedule schedule = config_.dynamic_schedule
                                           ? platform::Schedule::kDynamic
                                           : platform::Schedule::kStatic;
+  // The vectorized forward simulation runs whenever a SIMD level is active
+  // (see common/simd.h); the scalar loop runs in builds without the kernel
+  // TUs, under LGV_SIMD=scalar or simd::force_level(kScalar). Positions agree
+  // with the scalar loop to rounding only (the kernel advances heading by a
+  // rotation recurrence), but per-candidate results never depend on how the
+  // candidate range is blocked or scheduled.
   const simd::Level level = simd::active_level();
-  const bool vectorized =
-      config_.use_simd && level != simd::Level::kScalar && !candidates.empty();
+  const bool vectorized = level != simd::Level::kScalar && !candidates.empty();
 
   // ---- Fig. 5: parallel scoreTrajectory over the candidate set.
   const size_t regions_before = ctx.profile().regions.size();

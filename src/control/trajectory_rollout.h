@@ -50,15 +50,6 @@ struct RolloutConfig {
   /// per-candidate either way — the decision is schedule-independent. False
   /// selects the static reference partition.
   bool dynamic_schedule = true;
-
-  /// Run the forward simulation through the vectorized rollout kernel when a
-  /// SIMD level is active (see common/simd.h). The scalar loop stays compiled
-  /// as the reference path and runs when this is false, when the build lacks
-  /// the kernel TUs, or under LGV_SIMD=scalar. Positions agree with the
-  /// scalar reference to rounding only (the kernel advances heading by a
-  /// rotation recurrence), but per-candidate results never depend on how the
-  /// candidate range is blocked or scheduled.
-  bool use_simd = true;
 };
 
 struct RolloutStats {

@@ -45,33 +45,6 @@ void Amcl::initialize_global(size_t count) {
   have_last_odom_ = false;
 }
 
-double Amcl::measurement_weight(const Pose2D& pose, const msg::LaserScan& scan,
-                                size_t* evals) const {
-  double log_w = 0.0;
-  for (size_t i = 0; i < scan.ranges.size(); i += static_cast<size_t>(config_.beam_stride)) {
-    const double r = static_cast<double>(scan.ranges[i]);
-    if (r > scan.range_max || r < scan.range_min) continue;
-    ++(*evals);
-    const double angle = pose.theta + scan.angle_of(i);
-    const Point2D end{pose.x + std::cos(angle) * r, pose.y + std::sin(angle) * r};
-    const CellIndex c = map_->frame().world_to_cell(end);
-    // Likelihood-field style: closest occupied cell in the 3×3 neighborhood.
-    double d2_min = 9.0 * config_.sigma_hit * config_.sigma_hit;
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const CellIndex cc{c.x + dx, c.y + dy};
-        if (!map_->is_occupied(cc)) continue;
-        const double d = distance(map_->frame().cell_to_world(cc), end);
-        d2_min = std::min(d2_min, d * d);
-      }
-    }
-    const double p_hit =
-        std::exp(-d2_min / (2.0 * config_.sigma_hit * config_.sigma_hit));
-    log_w += std::log(config_.z_hit * p_hit + config_.z_rand + 1e-6);
-  }
-  return log_w;
-}
-
 double Amcl::measurement_weight(const Pose2D& pose, const PrecomputedScan& pre,
                                 size_t* evals) const {
   double log_w = 0.0;
@@ -110,7 +83,7 @@ AmclUpdateStats Amcl::update(const msg::Odometry& odom, const msg::LaserScan& sc
   // particle weighed below; sync is a no-op while the map is unchanged.
   size_t field_cells = 0;
   PrecomputedScan pre;
-  if (config_.use_likelihood_field && !first) {
+  if (!first) {
     field_cells = field_.sync(*map_);
     pre = precompute_scan(scan, config_.beam_stride, map_->frame().resolution);
   }
@@ -128,16 +101,11 @@ AmclUpdateStats Amcl::update(const msg::Odometry& odom, const msg::LaserScan& sc
     const Pose2D moved = poses_.at(i).compose(noisy);
     poses_.set(i, moved);
     if (!first) {
-      log_weights[i] = config_.use_likelihood_field
-                           ? measurement_weight(moved, pre, &evals)
-                           : measurement_weight(moved, scan, &evals);
+      log_weights[i] = measurement_weight(moved, pre, &evals);
     }
   }
   stats.beam_evaluations = evals;
-  const double eval_cycles = config_.use_likelihood_field
-                                 ? calib::kAmclCachedCyclesPerBeamEval
-                                 : calib::kAmclCyclesPerBeamEval;
-  ctx.serial_work(static_cast<double>(evals) * eval_cycles +
+  ctx.serial_work(static_cast<double>(evals) * calib::kAmclCachedCyclesPerBeamEval +
                   static_cast<double>(field_cells) * calib::kFieldRebuildCyclesPerCell +
                   static_cast<double>(poses_.size()) * calib::kAmclMotionCyclesPerParticle);
 

@@ -31,11 +31,6 @@ struct AmclConfig {
   double kld_k = 6.0;
   double kld_bin_xy = 0.25;     ///< bin size (m)
   double kld_bin_theta = 0.25;  ///< bin size (rad)
-  /// Measurement model through the map's LikelihoodField (endpoints
-  /// precomputed once per scan, shared by every particle). When false, the
-  /// brute-force reference model probes the 3×3 occupancy neighborhood per
-  /// particle per beam.
-  bool use_likelihood_field = true;
 };
 
 struct AmclUpdateStats {
@@ -73,8 +68,8 @@ class Amcl {
   void restore_state(const std::vector<uint8_t>& bytes);
 
  private:
-  double measurement_weight(const Pose2D& pose, const msg::LaserScan& scan,
-                            size_t* evals) const;
+  /// Log-likelihood of the scan at `pose` through the map's LikelihoodField
+  /// (endpoints precomputed once per scan, shared by every particle).
   double measurement_weight(const Pose2D& pose, const PrecomputedScan& pre,
                             size_t* evals) const;
   void resample_adaptive();

@@ -53,9 +53,8 @@ SlamUpdateStats Gmapping::process(const msg::Odometry& odom, const msg::LaserSca
   // The per-scan endpoint precomputation is pose-independent, so it is
   // hoisted out of the per-particle loop and shared by all M particles
   // (previously recomputed inside every match() call).
-  const bool use_field = matcher_.config().use_likelihood_field;
   PrecomputedScan pre;
-  if (use_field && !first_scan && !particles_.empty()) {
+  if (!first_scan && !particles_.empty()) {
     pre = precompute_scan(scan, matcher_.config().beam_stride,
                           particles_[0].map.frame().resolution);
   }
@@ -81,15 +80,9 @@ SlamUpdateStats Gmapping::process(const msg::Odometry& odom, const msg::LaserSca
     size_t rebuilt = 0;
     if (!first_scan) {
       // scanMatch refinement against this particle's own map, through its
-      // likelihood field on the fast path (synced incrementally from the
-      // map's changelog) or the brute-force reference scorer when disabled.
-      MatchResult m;
-      if (use_field) {
-        rebuilt = p.field.sync(p.map);
-        m = matcher_.match(p.field, pose, pre);
-      } else {
-        m = matcher_.match(p.map, pose, scan);
-      }
+      // likelihood field (synced incrementally from the map's changelog).
+      rebuilt = p.field.sync(p.map);
+      const MatchResult m = matcher_.match(p.field, pose, pre);
       evals = m.beam_evaluations;
       pose = m.pose;
       log_weights_[i] += std::log(m.score + 1e-3);
@@ -101,9 +94,7 @@ SlamUpdateStats Gmapping::process(const msg::Odometry& odom, const msg::LaserSca
     cells_updated.fetch_add(touched, std::memory_order_relaxed);
     field_cells.fetch_add(rebuilt, std::memory_order_relaxed);
 
-    const double eval_cycles = use_field ? calib::kScanMatchCachedCyclesPerBeamEval
-                                         : calib::kScanMatchCyclesPerBeamEval;
-    return static_cast<double>(evals) * eval_cycles +
+    return static_cast<double>(evals) * calib::kScanMatchCachedCyclesPerBeamEval +
            static_cast<double>(rebuilt) * calib::kFieldRebuildCyclesPerCell +
            static_cast<double>(touched) * calib::kMapUpdateCyclesPerCell;
   });

@@ -29,47 +29,6 @@ PrecomputedScan precompute_scan(const msg::LaserScan& scan, int stride,
   return pre;
 }
 
-double ScanMatcher::score(const OccupancyGrid& map, const Pose2D& pose,
-                          const msg::LaserScan& scan, size_t* evaluations) const {
-  double total = 0.0;
-  size_t evals = 0;
-  const double res = map.frame().resolution;
-  for (size_t i = 0; i < scan.ranges.size(); i += static_cast<size_t>(config_.beam_stride)) {
-    const double r = static_cast<double>(scan.ranges[i]);
-    if (r > scan.range_max || r < scan.range_min) continue;
-    ++evals;
-    const double angle = pose.theta + scan.angle_of(i);
-    const double cos_a = std::cos(angle), sin_a = std::sin(angle);
-    const Point2D end{pose.x + cos_a * r, pose.y + sin_a * r};
-    // A valid hit has free space just before the endpoint.
-    const Point2D before{pose.x + cos_a * (r - res), pose.y + sin_a * (r - res)};
-    const CellIndex end_cell = map.frame().world_to_cell(end);
-    const CellIndex before_cell = map.frame().world_to_cell(before);
-
-    // Search the 3×3 neighborhood of the endpoint for the best occupied cell.
-    double best = -1.0;
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const CellIndex c{end_cell.x + dx, end_cell.y + dy};
-        if (!map.is_occupied(c)) continue;
-        const Point2D cw = map.frame().cell_to_world(c);
-        const double d = distance(cw, end);
-        const double s = std::exp(-d * d / (2.0 * config_.sigma * config_.sigma));
-        best = std::max(best, s);
-      }
-    }
-    if (best > 0.0 && !map.is_occupied(before_cell)) {
-      total += best;
-    } else if (map.is_unknown(end_cell)) {
-      // Unknown terrain is neutral-slightly-positive so exploration scans
-      // don't get repelled from frontier poses.
-      total += 0.05;
-    }
-  }
-  if (evaluations != nullptr) *evaluations += evals;
-  return total;
-}
-
 double ScanMatcher::score(const LikelihoodField& field, const Pose2D& pose,
                           const PrecomputedScan& pre, size_t* evaluations) const {
   if (evaluations != nullptr) *evaluations += pre.size();
@@ -182,11 +141,17 @@ double ScanMatcher::score_simd(simd::Level level, const LikelihoodField& field,
   return total;
 }
 
-template <typename ScoreFn>
-MatchResult ScanMatcher::hill_climb(const Pose2D& initial, ScoreFn&& score_fn) const {
+MatchResult ScanMatcher::match(const LikelihoodField& field, const Pose2D& initial,
+                               const msg::LaserScan& scan) const {
+  return match(field, initial,
+               precompute_scan(scan, config_.beam_stride, field.frame().resolution));
+}
+
+MatchResult ScanMatcher::match(const LikelihoodField& field, const Pose2D& initial,
+                               const PrecomputedScan& pre) const {
   MatchResult result;
   result.pose = initial;
-  result.score = score_fn(initial, &result.beam_evaluations);
+  result.score = score(field, initial, pre, &result.beam_evaluations);
 
   double step_xy = config_.search_step_xy;
   double step_th = config_.search_step_theta;
@@ -203,7 +168,7 @@ MatchResult ScanMatcher::hill_climb(const Pose2D& initial, ScoreFn&& score_fn) c
           Pose2D{result.pose.x, result.pose.y, result.pose.theta - step_th},
       };
       for (const Pose2D& cand : candidates) {
-        const double s = score_fn(cand, &result.beam_evaluations);
+        const double s = score(field, cand, pre, &result.beam_evaluations);
         if (s > result.score + 1e-9) {
           result.score = s;
           result.pose = cand;
@@ -214,28 +179,6 @@ MatchResult ScanMatcher::hill_climb(const Pose2D& initial, ScoreFn&& score_fn) c
     step_xy *= 0.5;
     step_th *= 0.5;
   }
-  return result;
-}
-
-MatchResult ScanMatcher::match(const OccupancyGrid& map, const Pose2D& initial,
-                               const msg::LaserScan& scan) const {
-  return hill_climb(initial, [&](const Pose2D& pose, size_t* evals) {
-    return score(map, pose, scan, evals);
-  });
-}
-
-MatchResult ScanMatcher::match(const LikelihoodField& field, const Pose2D& initial,
-                               const msg::LaserScan& scan) const {
-  return match(field, initial,
-               precompute_scan(scan, config_.beam_stride, field.frame().resolution));
-}
-
-MatchResult ScanMatcher::match(const LikelihoodField& field, const Pose2D& initial,
-                               const PrecomputedScan& pre) const {
-  MatchResult result = hill_climb(initial, [&](const Pose2D& pose, size_t* evals) {
-    return score(field, pose, pre, evals);
-  });
-  result.used_likelihood_field = true;
   return result;
 }
 

@@ -4,20 +4,16 @@
 // with free space in front of them; refines the pose by greedy coordinate
 // ascent over (x, y, θ) perturbations.
 //
-// Two scorers produce that score:
-//  - the likelihood-field scorer (default): beam endpoints are precomputed
-//    once per scan in the sensor frame, each candidate pose transforms them
-//    with two FMAs per coordinate, and a single LikelihoodField lookup
-//    replaces the 3×3 occupancy probe. This is the fast path GMapping and
-//    AMCL run on both hosts.
-//  - the brute-force reference scorer (use_likelihood_field = false): the
-//    original per-beam trig + neighborhood probe, kept as the semantic
-//    ground truth the equivalence tests check the cached path against.
+// Scoring runs through a LikelihoodField: beam endpoints are precomputed once
+// per scan in the sensor frame, each candidate pose transforms them with two
+// FMAs per coordinate, and a single field lookup replaces the 3×3 occupancy
+// probe. GMapping and AMCL run this path on every host. The brute-force
+// scorer it replaced (per-beam trig + neighborhood probe) lives on only as
+// the test and bench reference in tests/perception/ref_scan_scorer.h.
 //
 // score() reports the number of beam evaluations it performed so callers can
-// charge the platform cycle model per evaluation —
-// calib::kScanMatchCachedCyclesPerBeamEval for the likelihood-field path,
-// calib::kScanMatchCyclesPerBeamEval for the reference path.
+// charge the platform cycle model per evaluation
+// (calib::kScanMatchCachedCyclesPerBeamEval).
 #pragma once
 
 #include <vector>
@@ -27,7 +23,6 @@
 #include "common/soa.h"
 #include "msg/messages.h"
 #include "perception/likelihood_field.h"
-#include "perception/occupancy_grid.h"
 
 namespace lgv::perception {
 
@@ -37,16 +32,12 @@ struct ScanMatcherConfig {
   double search_step_theta = 0.025;  ///< initial rotation step (rad)
   int refinement_iterations = 3;     ///< halvings of the step size
   double sigma = 0.12;          ///< endpoint score kernel width (m)
-  /// Score against a LikelihoodField (fast path). When false, callers fall
-  /// back to the brute-force reference scorer.
-  bool use_likelihood_field = true;
 };
 
 struct MatchResult {
   Pose2D pose;
   double score = 0.0;
   size_t beam_evaluations = 0;  ///< work units performed
-  bool used_likelihood_field = false;  ///< which cycle constant the evals cost
 };
 
 /// Pose-independent per-scan precomputation: the (r·cosθᵢ, r·sinθᵢ) beam
@@ -81,38 +72,27 @@ class ScanMatcher {
 
   const ScanMatcherConfig& config() const { return config_; }
 
-  /// Brute-force reference score of `pose` against `map`; higher is better.
-  /// Increments *evaluations by the number of beams scored.
-  double score(const OccupancyGrid& map, const Pose2D& pose, const msg::LaserScan& scan,
-               size_t* evaluations) const;
-
-  /// Likelihood-field score: identical semantics to the reference scorer —
-  /// same occupied sets and branch decisions, values equal up to the
-  /// floating-point rounding of precomposed endpoints and squared distances.
+  /// Score of `pose` against the map `field` caches; higher is better.
+  /// Increments *evaluations by the number of beams scored. Same semantics
+  /// as the brute-force reference scorer — same occupied sets and branch
+  /// decisions, values equal up to the floating-point rounding of precomposed
+  /// endpoints and squared distances.
   double score(const LikelihoodField& field, const Pose2D& pose,
                const PrecomputedScan& pre, size_t* evaluations) const;
 
   /// Greedy local refinement around `initial` (Fig. 6's per-particle
-  /// scanMatch), brute-force reference path. Deterministic; thread-safe
-  /// (const).
-  MatchResult match(const OccupancyGrid& map, const Pose2D& initial,
-                    const msg::LaserScan& scan) const;
-
-  /// Same refinement on the likelihood-field fast path. `field` must be
-  /// synced with the map the caller is matching against.
+  /// scanMatch). `field` must be synced with the map the caller is matching
+  /// against. Deterministic; thread-safe (const).
   MatchResult match(const LikelihoodField& field, const Pose2D& initial,
                     const msg::LaserScan& scan) const;
 
-  /// Fast-path refinement with a caller-provided precomputation, so a batch
+  /// Refinement with a caller-provided precomputation, so a batch
   /// caller (GMapping matches P particles against the same scan) precomputes
   /// once instead of per particle.
   MatchResult match(const LikelihoodField& field, const Pose2D& initial,
                     const PrecomputedScan& pre) const;
 
  private:
-  template <typename ScoreFn>
-  MatchResult hill_climb(const Pose2D& initial, ScoreFn&& score_fn) const;
-
   /// Arena-staged SIMD pipeline behind score(field, …); level is a vector
   /// level. See docs/kernels.md.
   double score_simd(simd::Level level, const LikelihoodField& field,

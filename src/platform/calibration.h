@@ -19,14 +19,12 @@
 namespace lgv::platform::calib {
 
 // ---- SLAM (gmapping-style RBPF, Fig. 6) -----------------------------------
-/// Cycles per (particle × beam) likelihood evaluation inside scanMatch when
-/// the brute-force reference scorer runs (the paper's stock GMapping path).
-/// 98% of SLAM time lives here (§V).
-inline constexpr double kScanMatchCyclesPerBeamEval = 50000.0;
-/// Cycles per beam evaluation on the likelihood-field path: precomputed
-/// endpoints + one field lookup replace the per-beam trig and the 3×3
-/// occupancy probe. Ratio fitted to the measured bench_micro_kernels host
-/// speedup of the cached scorer over the reference scorer.
+/// Cycles per (particle × beam) likelihood evaluation inside scanMatch, where
+/// 98% of SLAM time lives (§V). Priced for the likelihood-field scorer:
+/// precomputed endpoints + one field lookup in place of the per-beam trig and
+/// the 3×3 occupancy probe of the paper's stock GMapping scorer, at the
+/// bench_micro_kernels host speedup of BM_ScanMatchScoreCached over the
+/// brute-force reference BM_ScanMatchScore.
 inline constexpr double kScanMatchCachedCyclesPerBeamEval = 10000.0;
 /// Cycles per likelihood-field cell recomputed by LikelihoodField::sync
 /// (9 occupancy compares + a packed write; incremental after every map
@@ -38,10 +36,12 @@ inline constexpr double kMapUpdateCyclesPerCell = 4000.0;
 inline constexpr double kResampleCyclesPerParticle = 500000.0;
 
 // ---- AMCL -----------------------------------------------------------------
-/// Cycles per (particle × beam) in the brute-force AMCL measurement model.
+/// Cycles per feature observation VisualOdometry associates against its
+/// landmark map. It keeps the per-beam price of the brute-force AMCL
+/// measurement model it was sized by; AMCL itself charges the constant below.
 inline constexpr double kAmclCyclesPerBeamEval = 2000.0;
-/// Cycles per (particle × beam) on the likelihood-field path (endpoints
-/// precomputed once per scan, shared across every particle).
+/// Cycles per (particle × beam) in AMCL's likelihood-field measurement model
+/// (endpoints precomputed once per scan, shared across every particle).
 inline constexpr double kAmclCachedCyclesPerBeamEval = 500.0;
 /// Cycles per particle for sampling the motion model.
 inline constexpr double kAmclMotionCyclesPerParticle = 3000.0;

@@ -12,6 +12,12 @@
 namespace lgv::control {
 namespace {
 
+/// Pins the dispatch level for one scope (the scalar leg of an A/B check).
+struct ForcedLevel {
+  explicit ForcedLevel(simd::Level level) { simd::force_level(level); }
+  ~ForcedLevel() { simd::clear_forced_level(); }
+};
+
 perception::Costmap2D open_costmap(double size = 10.0) {
   sim::World w(size, size);
   perception::Costmap2D cm({0, 0}, size, size);
@@ -205,14 +211,13 @@ TEST(Rollout, SimdMatchesScalarReferenceDecision) {
 
   const perception::Costmap2D* scenes[] = {&open_cm, &obstacle_cm};
   for (const perception::Costmap2D* cm : scenes) {
-    RolloutConfig scalar_cfg;
-    scalar_cfg.use_simd = false;
-    RolloutConfig simd_cfg;
-    simd_cfg.use_simd = true;
-    TrajectoryRollout scalar_r(scalar_cfg), simd_r(simd_cfg);
+    TrajectoryRollout scalar_r, simd_r;
     platform::ExecutionContext sctx, vctx;
-    const RolloutDecision a =
-        scalar_r.compute(*cm, path, {2.2, 5.0, 0.0}, {0.4, 0.0}, 0.6, sctx);
+    RolloutDecision a;
+    {
+      const ForcedLevel pin(simd::Level::kScalar);
+      a = scalar_r.compute(*cm, path, {2.2, 5.0, 0.0}, {0.4, 0.0}, 0.6, sctx);
+    }
     const RolloutDecision b =
         simd_r.compute(*cm, path, {2.2, 5.0, 0.0}, {0.4, 0.0}, 0.6, vctx);
     EXPECT_EQ(a.feasible, b.feasible);
@@ -222,7 +227,7 @@ TEST(Rollout, SimdMatchesScalarReferenceDecision) {
     EXPECT_NEAR(a.stats.best_score, b.stats.best_score,
                 std::abs(a.stats.best_score) * 1e-9 + 1e-9);
     EXPECT_EQ(a.stats.trajectories, b.stats.trajectories);
-    // The modeled cost is identical: use_simd changes machine time only.
+    // The modeled cost is identical: the SIMD level changes machine time only.
     EXPECT_DOUBLE_EQ(sctx.profile().total_cycles(), vctx.profile().total_cycles());
   }
 }
@@ -242,7 +247,6 @@ TEST(Rollout, SimdDecisionInvariantAcrossSchedules) {
   for (const bool dynamic : {false, true}) {
     for (const int threads : {1, 2, 4}) {
       RolloutConfig cfg;
-      cfg.use_simd = true;
       cfg.dynamic_schedule = dynamic;
       TrajectoryRollout rollout(cfg);
       platform::ExecutionContext ctx(threads > 1 ? &pool : nullptr, threads);

@@ -1,17 +1,20 @@
 // Tests for the likelihood-field scan-match cache: score equivalence against
-// the brute-force reference scorer on randomized maps and poses, incremental
-// sync against full rebuild, and the derived-state lifecycle across particle
-// copies and map migration.
+// the brute-force reference scorers (ref_scan_scorer.h) on randomized maps and
+// poses, incremental sync against full rebuild, and the derived-state
+// lifecycle across particle copies and map migration.
 #include "perception/likelihood_field.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/serialization.h"
 #include "perception/amcl.h"
 #include "perception/scan_matcher.h"
+#include "ref_scan_scorer.h"
 #include "sim/lidar.h"
 #include "sim/world.h"
 
@@ -108,6 +111,7 @@ TEST(LikelihoodField, ScoreMatchesBruteForceOnRandomizedMapsAndPoses) {
     LikelihoodField field;
     field.sync(*fx.map);
     ScanMatcher matcher;
+    RefScanMatcher ref;
     for (int trial = 0; trial < 30; ++trial) {
       const Pose2D scan_pose = fx.random_free_pose();
       const msg::LaserScan scan = fx.lidar->scan(*fx.world, scan_pose, 0.0);
@@ -119,7 +123,7 @@ TEST(LikelihoodField, ScoreMatchesBruteForceOnRandomizedMapsAndPoses) {
                           scan_pose.y + fx.rng.gaussian(0.0, 0.1),
                           scan_pose.theta + fx.rng.gaussian(0.0, 0.05)};
         size_t brute_evals = 0, cached_evals = 0;
-        const double brute = matcher.score(*fx.map, pose, scan, &brute_evals);
+        const double brute = ref.score(*fx.map, pose, scan, &brute_evals);
         const double cached = matcher.score(field, pose, scan_pre, &cached_evals);
         EXPECT_EQ(brute_evals, cached_evals);
         EXPECT_NEAR(brute, cached, 1e-9 * std::max(1.0, std::abs(brute)))
@@ -135,20 +139,19 @@ TEST(LikelihoodField, MatchSelectsSamePoseAsBruteForce) {
     LikelihoodField field;
     field.sync(*fx.map);
     ScanMatcher matcher;
+    RefScanMatcher ref;
     for (int trial = 0; trial < 10; ++trial) {
       const Pose2D truth = fx.random_free_pose();
       const msg::LaserScan scan = fx.lidar->scan(*fx.world, truth, 0.0);
       const Pose2D perturbed{truth.x + fx.rng.gaussian(0.0, 0.06),
                              truth.y + fx.rng.gaussian(0.0, 0.06),
                              truth.theta + fx.rng.gaussian(0.0, 0.03)};
-      const MatchResult brute = matcher.match(*fx.map, perturbed, scan);
+      const MatchResult brute = ref.match(*fx.map, perturbed, scan);
       const MatchResult cached = matcher.match(field, perturbed, scan);
       // Candidate poses are generated identically on both paths, so equal
       // selection means bit-equal poses.
       EXPECT_EQ(brute.pose, cached.pose) << "seed " << seed << " trial " << trial;
       EXPECT_EQ(brute.beam_evaluations, cached.beam_evaluations);
-      EXPECT_FALSE(brute.used_likelihood_field);
-      EXPECT_TRUE(cached.used_likelihood_field);
       EXPECT_NEAR(brute.score, cached.score,
                   1e-9 * std::max(1.0, std::abs(brute.score)));
     }
@@ -327,21 +330,24 @@ TEST(LikelihoodField, MigratedMapForcesRebuild) {
 }
 
 TEST(LikelihoodField, AmclAgreesAcrossMeasurementModels) {
-  // Two identically-seeded filters, one per measurement model, tracking the
-  // same scans: the RNG streams are identical, so estimates differ only by
-  // the floating-point rounding of the likelihood values.
+  // One filter that never resamples, so its particle set is fixed: after each
+  // update, the reference measurement model at every particle's pose, folded
+  // into the previous weights and normalised, must reproduce the filter's
+  // weights up to the floating-point rounding of the likelihood values.
   RandomMapFixture fx(47);
-  AmclConfig brute_cfg;
-  brute_cfg.use_likelihood_field = false;
-  AmclConfig cached_cfg;
-  cached_cfg.use_likelihood_field = true;
-  Amcl brute(brute_cfg, fx.map.get(), 99);
-  Amcl cached(cached_cfg, fx.map.get(), 99);
   const Pose2D start = fx.random_free_pose();
-  brute.initialize(start);
-  cached.initialize(start);
+  // Map the start pose's surroundings firmly, so that beam endpoints land
+  // next to occupied cells and the particles' likelihoods differ.
+  for (int i = 0; i < 3; ++i) {
+    fx.map->integrate_scan(start, fx.lidar->scan(*fx.world, start, 0.0));
+  }
+  AmclConfig cfg;
+  cfg.resample_threshold = 0.0;
+  Amcl amcl(cfg, fx.map.get(), 99);
+  amcl.initialize(start);
 
-  platform::ExecutionContext bctx, cctx;
+  platform::ExecutionContext ctx;
+  std::vector<double> expected(amcl.weights().begin(), amcl.weights().end());
   double t = 0.0;
   for (int i = 0; i < 8; ++i) {
     t += 0.2;
@@ -349,17 +355,35 @@ TEST(LikelihoodField, AmclAgreesAcrossMeasurementModels) {
     odom.pose = start;
     odom.header.stamp = t;
     const msg::LaserScan scan = fx.lidar->scan(*fx.world, start, t);
-    const AmclUpdateStats bs = brute.update(odom, scan, bctx);
-    const AmclUpdateStats cs = cached.update(odom, scan, cctx);
-    EXPECT_EQ(bs.beam_evaluations, cs.beam_evaluations);
+    const AmclUpdateStats stats = amcl.update(odom, scan, ctx);
+    EXPECT_FALSE(stats.resampled);
+    ASSERT_EQ(amcl.weights().size(), expected.size());
+    // The first update only anchors the odometry: no beam is weighed.
+    size_t ref_evals = 0;
+    if (i > 0) {
+      std::vector<double> log_w(expected.size());
+      for (size_t k = 0; k < expected.size(); ++k) {
+        log_w[k] =
+            ref_amcl_measurement_weight(cfg, *fx.map, amcl.poses()[k], scan, &ref_evals);
+      }
+      const double max_log = *std::max_element(log_w.begin(), log_w.end());
+      double sum = 0.0;
+      for (size_t k = 0; k < expected.size(); ++k) {
+        expected[k] *= std::exp(log_w[k] - max_log);
+        sum += expected[k];
+      }
+      for (double& w : expected) w /= sum;
+    }
+    EXPECT_EQ(stats.beam_evaluations, ref_evals) << "update " << i;
+    for (size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_NEAR(amcl.weights()[k], expected[k], 1e-9 * expected[k])
+          << "update " << i << " particle " << k;
+    }
   }
-  const Pose2D be = brute.estimate();
-  const Pose2D ce = cached.estimate();
-  EXPECT_NEAR(be.x, ce.x, 1e-6);
-  EXPECT_NEAR(be.y, ce.y, 1e-6);
-  EXPECT_NEAR(be.theta, ce.theta, 1e-6);
-  // The cached model must be charged strictly fewer modeled cycles per beam.
-  EXPECT_LT(cctx.profile().total_cycles(), bctx.profile().total_cycles());
+  // The likelihoods told the particles apart: the check above is not a
+  // comparison of uniform weights.
+  EXPECT_GT(*std::max_element(expected.begin(), expected.end()),
+            10.0 / static_cast<double>(expected.size()));
 }
 
 }  // namespace

@@ -27,11 +27,19 @@ struct MatcherFixture : ::testing::Test {
         map->integrate_scan({p.x, p.y, 0.0}, lidar->scan(*world, {p.x, p.y, 0.0}, 0.0));
       }
     }
+    field.sync(*map);
+  }
+
+  /// The per-scan precomputation the likelihood-field scorer consumes.
+  PrecomputedScan pre(const msg::LaserScan& scan,
+                      int stride = ScanMatcherConfig{}.beam_stride) const {
+    return precompute_scan(scan, stride, map->frame().resolution);
   }
 
   std::unique_ptr<sim::World> world;
   std::unique_ptr<sim::Lidar> lidar;
   std::unique_ptr<OccupancyGrid> map;
+  LikelihoodField field;
   ScanMatcher matcher;
 };
 
@@ -39,9 +47,9 @@ TEST_F(MatcherFixture, TruePoseScoresHigherThanOffsetPose) {
   const Pose2D truth{2.0, 2.0, 0.3};
   const msg::LaserScan scan = lidar->scan(*world, truth, 0.0);
   size_t evals = 0;
-  const double at_truth = matcher.score(*map, truth, scan, &evals);
-  const double offset =
-      matcher.score(*map, {2.4, 2.4, 0.3}, scan, &evals);
+  const PrecomputedScan p = pre(scan);
+  const double at_truth = matcher.score(field, truth, p, &evals);
+  const double offset = matcher.score(field, {2.4, 2.4, 0.3}, p, &evals);
   EXPECT_GT(at_truth, offset);
   EXPECT_GT(evals, 0u);
 }
@@ -50,7 +58,7 @@ TEST_F(MatcherFixture, MatchRecoversPerturbedPose) {
   const Pose2D truth{2.0, 4.0, 0.0};
   const msg::LaserScan scan = lidar->scan(*world, truth, 0.0);
   const Pose2D perturbed{2.12, 3.9, 0.06};
-  const MatchResult r = matcher.match(*map, perturbed, scan);
+  const MatchResult r = matcher.match(field, perturbed, scan);
   EXPECT_LT(distance(r.pose.position(), truth.position()),
             distance(perturbed.position(), truth.position()));
   EXPECT_LT(distance(r.pose.position(), truth.position()), 0.16);
@@ -62,8 +70,8 @@ TEST_F(MatcherFixture, MatchNeverDecreasesScore) {
   const msg::LaserScan scan = lidar->scan(*world, truth, 0.0);
   const Pose2D initial{5.6, 5.45, -0.45};
   size_t evals = 0;
-  const double initial_score = matcher.score(*map, initial, scan, &evals);
-  const MatchResult r = matcher.match(*map, initial, scan);
+  const double initial_score = matcher.score(field, initial, pre(scan), &evals);
+  const MatchResult r = matcher.match(field, initial, scan);
   EXPECT_GE(r.score, initial_score - 1e-12);
 }
 
@@ -75,8 +83,8 @@ TEST_F(MatcherFixture, BeamStrideReducesWork) {
   const Pose2D truth{2.0, 2.0, 0.0};
   const msg::LaserScan scan = lidar->scan(*world, truth, 0.0);
   size_t dense_evals = 0, sparse_evals = 0;
-  ScanMatcher(dense).score(*map, truth, scan, &dense_evals);
-  ScanMatcher(sparse).score(*map, truth, scan, &sparse_evals);
+  ScanMatcher(dense).score(field, truth, pre(scan, dense.beam_stride), &dense_evals);
+  ScanMatcher(sparse).score(field, truth, pre(scan, sparse.beam_stride), &sparse_evals);
   EXPECT_GT(dense_evals, 6u * sparse_evals);
 }
 
@@ -84,8 +92,9 @@ TEST_F(MatcherFixture, ScoreIsDeterministicAndThreadSafeConst) {
   const Pose2D pose{2.0, 2.0, 0.0};
   const msg::LaserScan scan = lidar->scan(*world, pose, 0.0);
   size_t e1 = 0, e2 = 0;
-  const double s1 = matcher.score(*map, pose, scan, &e1);
-  const double s2 = matcher.score(*map, pose, scan, &e2);
+  const PrecomputedScan p = pre(scan);
+  const double s1 = matcher.score(field, pose, p, &e1);
+  const double s2 = matcher.score(field, pose, p, &e2);
   EXPECT_DOUBLE_EQ(s1, s2);
   EXPECT_EQ(e1, e2);
 }
@@ -98,9 +107,13 @@ TEST(ScanMatcher, EmptyMapScoresNearZero) {
   scan.range_min = 0.1;
   scan.range_max = 3.5;
   scan.ranges.assign(10, 1.0f);
+  LikelihoodField field;
+  field.sync(empty);
   ScanMatcher matcher;
   size_t evals = 0;
-  const double s = matcher.score(empty, {2.0, 2.0, 0.0}, scan, &evals);
+  const double s = matcher.score(
+      field, {2.0, 2.0, 0.0},
+      precompute_scan(scan, matcher.config().beam_stride, empty.frame().resolution), &evals);
   // Unknown cells contribute only the small exploration bonus.
   EXPECT_LT(s, 1.0);
 }
